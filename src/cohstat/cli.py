@@ -5,8 +5,9 @@ to its closed-form pmf, ``infer`` tabulates the POV-quadrature posterior
 next to the analytic Gamma/Beta density, and ``verify`` runs the named
 residual checks.  Output is a JSON document (schema_version, command,
 config, rows, footer) or a CSV table with ``# key=value`` footer lines.
-Exit codes: 0 success or all checks passing, 1 verification failure,
-2 usage or configuration error.
+Exit codes: 0 success or all checks passing, 1 verification failure or
+numerical failure (a quadrature rule that does not resolve the family, a
+truncation too small for the displacement), 2 usage or configuration error.
 """
 
 from __future__ import annotations
@@ -199,29 +200,21 @@ def _family_binomial(config: RunConfig, n: int, p: float) -> dict:
 # infer
 
 
-def _infer_rows(pov, analytic) -> tuple[list[dict], float]:
-    rows = []
-    sup_diff = 0.0
-    for x, d_pov, d_ana in zip(pov.grid, pov.density, analytic.density):
-        diff = abs(d_pov - d_ana)
-        sup_diff = max(sup_diff, diff)
-        rows.append(
-            {
-                "parameter": float(x),
-                "density_pov": float(d_pov),
-                "density_analytic": float(d_ana),
-                "absdiff": float(diff),
-            }
-        )
-    return rows, float(sup_diff)
-
-
-def _interval_records(config: RunConfig, dist) -> list[dict]:
-    records = []
-    for level in config.mass_levels:
-        low, high = inference.credible_interval(dist, level)
-        records.append({"mass": level, "low": low, "high": high})
-    return records
+def _infer_payload(config: RunConfig, pov, analytic) -> dict:
+    absdiff = np.abs(pov.density - analytic.density)
+    columns = zip(pov.grid.tolist(), pov.density.tolist(), analytic.density.tolist(), absdiff.tolist())
+    rows = [
+        {"parameter": x, "density_pov": d_pov, "density_analytic": d_ana, "absdiff": diff}
+        for x, d_pov, d_ana, diff in columns
+    ]
+    intervals = [(level, *inference.credible_interval(pov, level)) for level in config.mass_levels]
+    footer = {
+        "total_mass_pov": pov.total_mass,
+        "total_mass_analytic": analytic.total_mass,
+        "sup_abs_diff": float(absdiff.max()),
+        "credible_intervals": [{"mass": m, "low": low, "high": high} for m, low, high in intervals],
+    }
+    return _payload("infer", config, rows, footer)
 
 
 def _infer_poisson(config: RunConfig, observed: int) -> dict:
@@ -238,14 +231,7 @@ def _infer_poisson(config: RunConfig, observed: int) -> dict:
         raise UsageError(f"trunc {dim} must exceed the observed count {observed}")
     pov = inference.infer_via_pov(observed, inference.FockCoherentFamily(dim), rule, grid)
     analytic = inference.analytic_poisson_posterior(observed, grid)
-    rows, sup_diff = _infer_rows(pov, analytic)
-    footer = {
-        "total_mass_pov": pov.total_mass,
-        "total_mass_analytic": analytic.total_mass,
-        "sup_abs_diff": sup_diff,
-        "credible_intervals": _interval_records(config, pov),
-    }
-    return _payload("infer", config, rows, footer)
+    return _infer_payload(config, pov, analytic)
 
 
 def _infer_binomial(config: RunConfig, n: int, k: int) -> dict:
@@ -260,14 +246,7 @@ def _infer_binomial(config: RunConfig, n: int, k: int) -> dict:
     grid = inference.default_p_grid(config.p_points)
     pov = inference.infer_via_pov(k, inference.SpinCoherentFamily(rep), rule, grid)
     analytic = inference.analytic_binomial_posterior(n, k, grid)
-    rows, sup_diff = _infer_rows(pov, analytic)
-    footer = {
-        "total_mass_pov": pov.total_mass,
-        "total_mass_analytic": analytic.total_mass,
-        "sup_abs_diff": sup_diff,
-        "credible_intervals": _interval_records(config, pov),
-    }
-    return _payload("infer", config, rows, footer)
+    return _infer_payload(config, pov, analytic)
 
 
 # ---------------------------------------------------------------------------
@@ -513,13 +492,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    try:
-        config = load_config(args)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
     code = 0
     try:
+        config = load_config(args)
         if args.command == "family":
             if args.kind == "poisson":
                 payload = _family_poisson(config, args.lam)
@@ -532,7 +507,13 @@ def main(argv=None) -> int:
                 payload = _infer_binomial(config, args.n, args.k)
         else:
             payload, code = _cmd_verify(config, args.check, args.alpha)
-    except (UsageError, fock.TruncationError, ValueError, RuntimeError) as exc:
+    except (inference.ResolutionError, fock.TruncationError) as exc:
+        print(f"numerical failure: {exc}", file=sys.stderr)
+        return 1
+    except ConfigError as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        return 2
+    except (UsageError, ValueError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     _emit(payload, config)

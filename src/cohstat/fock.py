@@ -30,6 +30,7 @@ __all__ = [
     "build_ladder",
     "coherent_amplitudes",
     "coherent_closed_form",
+    "coherent_magnitudes",
     "coherent_via_exponential",
     "default_truncation",
     "displacement_matrix",
@@ -127,6 +128,15 @@ def poisson_pmf(alpha: complex, n: int) -> float:
     return float(_poisson_weight(abs(alpha) ** 2, int(n)))
 
 
+def coherent_magnitudes(radius, k) -> np.ndarray:
+    """Moduli e^{-r^2/2} r^k / sqrt(k!) at |alpha| = r in log space, broadcasting r against k."""
+    lam = radius * radius
+    with np.errstate(divide="ignore", invalid="ignore"):
+        log_radius = np.where(radius > 0, np.log(np.where(radius > 0, radius, 1.0)), 0.0)
+        magnitude = np.exp(-0.5 * lam + k * log_radius - 0.5 * gammaln(k + 1))
+    return np.where(radius > 0, magnitude, np.asarray(k == 0, dtype=float))
+
+
 def coherent_amplitudes(alpha, dim: int) -> np.ndarray:
     """Exact amplitudes e^{-|a|^2/2} a^k / sqrt(k!) for k < dim.
 
@@ -137,14 +147,8 @@ def coherent_amplitudes(alpha, dim: int) -> np.ndarray:
     """
     a = np.asarray(alpha, dtype=complex)
     k = np.arange(dim)
-    radius = np.abs(a)[..., None]
-    lam = radius * radius
-    with np.errstate(divide="ignore", invalid="ignore"):
-        log_radius = np.where(radius > 0, np.log(np.where(radius > 0, radius, 1.0)), 0.0)
-        magnitude = np.exp(-0.5 * lam + k * log_radius - 0.5 * gammaln(k + 1))
-    magnitude = np.where(radius > 0, magnitude, (k == 0).astype(float))
     phase = np.exp(1j * k * np.angle(a)[..., None])
-    return magnitude * phase
+    return coherent_magnitudes(np.abs(a)[..., None], k) * phase
 
 
 def default_truncation(alpha: complex) -> int:

@@ -27,6 +27,7 @@ __all__ = [
     "FockCoherentFamily",
     "InferredDistribution",
     "QuadratureRule",
+    "ResolutionError",
     "SpinCoherentFamily",
     "analytic_binomial_posterior",
     "analytic_poisson_posterior",
@@ -47,6 +48,10 @@ __all__ = [
 _PLANE_MASS_TOL = 1e-6
 _SPHERE_MASS_TOL = 1e-10
 _ANALYTIC_MASS_TOL = 1e-10
+
+
+class ResolutionError(ValueError):
+    """The quadrature rule does not resolve the family: its mass misses 1."""
 
 
 @dataclass(frozen=True)
@@ -152,6 +157,22 @@ def plane_moment_residual(rule: QuadratureRule, max_moment: int) -> float:
     return worst
 
 
+def _amplitudes(family, principal, angle) -> np.ndarray:
+    """<phi_k, v> = m_k(principal) e^{+-ik angle} for every k on the product grid, shape (n1, n2, dim)."""
+    k = np.arange(family.dim)
+    magnitude = family.magnitudes(np.asarray(principal, dtype=float)[:, None], k)
+    phase = np.exp(family.phase_sign * 1j * np.multiply.outer(np.asarray(angle, dtype=float), k))
+    return magnitude[:, None, :] * phase[None, :, :]
+
+
+def _amplitude_at(family, index: int, principal, angle=0.0) -> np.ndarray:
+    """<phi_index, v> on the product grid, shape principal.shape + angle.shape (angle 0 by default)."""
+    if not 0 <= index < family.dim:
+        raise ValueError(f"index {index} outside 0..{family.dim - 1}")
+    phase = np.exp(family.phase_sign * 1j * index * np.asarray(angle, dtype=float))
+    return np.multiply.outer(family.magnitudes(np.asarray(principal, dtype=float), index), phase)
+
+
 @dataclass(frozen=True)
 class FockCoherentFamily:
     """Displacement coherent family on the plane, tracked on dim basis elements."""
@@ -159,33 +180,15 @@ class FockCoherentFamily:
     dim: int
 
     kind = "plane"
+    phase_sign = 1
 
     def __post_init__(self):
         if self.dim < 1:
             raise ValueError(f"dimension must be positive, got {self.dim!r}")
 
-    @classmethod
-    def from_rep(cls, rep: fock.LadderRep) -> "FockCoherentFamily":
-        return cls(dim=rep.dim)
-
-    def amplitudes(self, principal, angle) -> np.ndarray:
-        """<phi_i, v(r e^{i angle})> on the product grid, shape (n1, n2, dim)."""
-        r = np.asarray(principal, dtype=float)[:, None]
-        a = np.asarray(angle, dtype=float)[None, :]
-        return fock.coherent_amplitudes(r * np.exp(1j * a), self.dim)
-
-    def amplitude_at(self, index: int, principal, angle) -> np.ndarray:
-        """Single amplitude <phi_index, v(.)> on the product grid, shape (n1, n2)."""
-        if not 0 <= index < self.dim:
-            raise ValueError(f"index {index} outside 0..{self.dim - 1}")
-        r = np.asarray(principal, dtype=float)[:, None]
-        lam = r * r
-        with np.errstate(divide="ignore", invalid="ignore"):
-            log_r = np.where(r > 0, np.log(np.where(r > 0, r, 1.0)), 0.0)
-            magnitude = np.exp(-0.5 * lam + index * log_r - 0.5 * math.lgamma(index + 1))
-        magnitude = np.where(r > 0, magnitude, 1.0 if index == 0 else 0.0)
-        phase = np.exp(1j * index * np.asarray(angle, dtype=float)[None, :])
-        return magnitude * phase
+    magnitudes = staticmethod(fock.coherent_magnitudes)
+    amplitudes = _amplitudes
+    amplitude_at = _amplitude_at
 
 
 @dataclass(frozen=True)
@@ -195,20 +198,17 @@ class SpinCoherentFamily:
     rep: SpinRep
 
     kind = "sphere"
+    phase_sign = -1
 
     @property
     def dim(self) -> int:
         return self.rep.dim
 
-    def amplitudes(self, principal, angle) -> np.ndarray:
-        theta = np.asarray(principal, dtype=float)[:, None]
-        gamma = np.asarray(angle, dtype=float)[None, :]
-        return spin.coherent_amplitudes(self.rep, theta, gamma)
+    def magnitudes(self, principal, k) -> np.ndarray:
+        return spin.coherent_magnitudes(self.rep, principal, k)
 
-    def amplitude_at(self, index: int, principal, angle) -> np.ndarray:
-        if not 0 <= index < self.dim:
-            raise ValueError(f"index {index} outside 0..{self.dim - 1}")
-        return self.amplitudes(principal, angle)[:, :, index]
+    amplitudes = _amplitudes
+    amplitude_at = _amplitude_at
 
 
 CoherentFamily = Union[FockCoherentFamily, SpinCoherentFamily]
@@ -224,7 +224,12 @@ def resolution_of_identity_check(
     rule: QuadratureRule,
     n_basis: int | None = None,
 ) -> float:
-    """Max deviation of int <phi_i, v><v, phi_j> dmu from the Kronecker delta.
+    """Max deviation of int <phi_k, v><v, phi_l> dmu from the Kronecker delta.
+
+    As the amplitudes are m_k(principal) e^{+-ik angle}, the Gram matrix is
+    (M^T diag(w_principal) M) times, entrywise, the Toeplitz angle factor
+    T_kl = sum_g w_g e^{+-i(k-l) angle_g} over the rule's own angle nodes, so
+    fewer angle nodes than basis elements (a lag aliases onto 0) still show.
 
     For the spin family the integrands are trigonometric polynomials the
     rule integrates exactly, so the residual is quadrature rounding.  For
@@ -236,16 +241,19 @@ def resolution_of_identity_check(
     n_basis = family.dim if n_basis is None else n_basis
     if not 1 <= n_basis <= family.dim:
         raise ValueError(f"n_basis must lie in 1..{family.dim}, got {n_basis}")
-    amps = family.amplitudes(rule.principal_nodes, rule.angle_nodes)[:, :, :n_basis]
-    flat = amps.reshape(-1, n_basis)
-    weights = rule.weights
-    gram = (flat * weights[:, None]).T @ flat.conj()
+    k = np.arange(n_basis)
+    magnitude = family.magnitudes(rule.principal_nodes[:, None], k)
+    principal_gram = (magnitude * rule.principal_weights[:, None]).T @ magnitude
+    lags = np.arange(1 - n_basis, n_basis)
+    angle_sums = np.exp(family.phase_sign * 1j * np.multiply.outer(lags, rule.angle_nodes)) @ rule.angle_weights
+    gram = principal_gram * angle_sums[np.subtract.outer(k, k) + n_basis - 1]
     return float(np.abs(gram - np.eye(n_basis)).max())
 
 
 def coherent_transform(state: VectorState, family: CoherentFamily, rule: QuadratureRule) -> np.ndarray:
     """Tabulated map rho(phi)(param) = <phi, v(param)> over the rule's nodes.
 
+    The amplitudes are the outer product of m_k(principal) and e^{+-ik angle}.
     The returned array is flattened in the same order as ``rule.nodes``;
     its weighted squared sum approximates the squared norm of ``state``
     (the transform is isometric up to the rule's residual).
@@ -378,21 +386,24 @@ def infer_via_pov(
 ) -> InferredDistribution:
     """Inferred distribution of the canonical parameter for an observed count.
 
-    The joint density |<phi_obs, v(param)>|^2 is integrated against the
-    invariant measure.  The azimuthal angle is marginalized numerically by
-    summing the rule's angle nodes, and the polar coordinate is re-expressed
-    on the canonical grid: the plane measure (1/pi) r dr dangle is exactly
-    (1/2pi) d(r^2) dangle so the rate density needs no extra Jacobian, and
-    on the sphere d(sin^2(theta/2)) absorbs the sin(theta) factor.
-    ``observed`` is the basis index: the count n for the plane family, the
-    relabeled count k = j + ell for the spin family.
+    The joint density |<phi_obs, v(param)>|^2 = |m_obs(principal)|^2 is
+    integrated against the invariant measure.  It does not depend on the
+    azimuthal angle, so the angle marginal is exactly the sum of the rule's
+    angle weights and no angle grid is built.  The polar coordinate is
+    re-expressed on the canonical grid: the plane measure (1/pi) r dr dangle
+    is exactly (1/2pi) d(r^2) dangle so the rate density needs no extra
+    Jacobian, and on the sphere d(sin^2(theta/2)) absorbs the sin(theta)
+    factor.  ``observed`` is the basis index: the count n for the plane
+    family, the relabeled count k = j + ell for the spin family.  Raises
+    ResolutionError when the quadrature mass misses 1.
     """
     _check_compatible(family, rule)
     if not 0 <= observed < family.dim:
         raise ValueError(f"observed index {observed!r} outside 0..{family.dim - 1}")
 
-    joint = np.abs(family.amplitude_at(observed, rule.principal_nodes, rule.angle_nodes)) ** 2
-    total_mass = float(rule.principal_weights @ joint @ rule.angle_weights)
+    angle_mass = float(rule.angle_weights.sum())
+    joint = np.abs(family.amplitude_at(observed, rule.principal_nodes)) ** 2
+    total_mass = float(rule.principal_weights @ joint) * angle_mass
 
     if rule.kind == "plane":
         grid = default_lambda_grid(observed) if grid is None else np.asarray(grid, dtype=float)
@@ -408,12 +419,11 @@ def infer_via_pov(
         mass_tol = _SPHERE_MASS_TOL
 
     if abs(total_mass - 1.0) > mass_tol:
-        raise ValueError(
+        raise ResolutionError(
             f"quadrature mass {total_mass!r} deviates from 1 beyond {mass_tol:.1e}; "
             "the rule does not resolve this family"
         )
-    grid_joint = np.abs(family.amplitude_at(observed, principal, rule.angle_nodes)) ** 2
-    density = scale * (grid_joint @ rule.angle_weights)
+    density = scale * angle_mass * np.abs(family.amplitude_at(observed, principal)) ** 2
     return InferredDistribution(
         parameter=parameter,
         grid=grid,

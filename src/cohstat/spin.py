@@ -30,6 +30,7 @@ __all__ = [
     "binomial_pmf",
     "build_spin_rep",
     "coherent_amplitudes",
+    "coherent_magnitudes",
     "coset_element",
     "gauss_decomposition_check",
     "rotation_matrix",
@@ -142,6 +143,13 @@ def _sqrt_binomials(two_j: int) -> np.ndarray:
     return np.exp(0.5 * (gammaln(two_j + 1) - gammaln(k + 1) - gammaln(two_j - k + 1)))
 
 
+def coherent_magnitudes(rep: SpinRep, theta, k) -> np.ndarray:
+    """Real factors sqrt(C(2j,k)) (-sin(t/2))^k (cos(t/2))^{2j-k}, broadcasting theta against k."""
+    half = np.asarray(theta, dtype=float) / 2.0
+    magnitude = _sqrt_binomials(rep.two_j)[k] * np.sin(half) ** k * np.cos(half) ** (rep.two_j - k)
+    return (-1.0) ** k * magnitude
+
+
 def coherent_amplitudes(rep: SpinRep, theta, gamma) -> np.ndarray:
     """Amplitudes <phi_m, w(theta, gamma)> for all m, lowest weight first.
 
@@ -149,12 +157,9 @@ def coherent_amplitudes(rep: SpinRep, theta, gamma) -> np.ndarray:
     e^{-i k gamma}.  Broadcasts over theta and gamma; the result has shape
     broadcast(theta, gamma).shape + (2j+1,).
     """
-    theta = np.asarray(theta, dtype=float)
     gamma = np.asarray(gamma, dtype=float)
     k = np.arange(rep.dim)
-    half = theta[..., None] / 2.0
-    magnitude = _sqrt_binomials(rep.two_j) * np.sin(half) ** k * np.cos(half) ** (rep.two_j - k)
-    return (-1.0) ** k * magnitude * np.exp(-1j * k * gamma[..., None])
+    return coherent_magnitudes(rep, np.expand_dims(theta, -1), k) * np.exp(-1j * k * gamma[..., None])
 
 
 @dataclass(frozen=True)

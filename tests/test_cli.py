@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.stats import beta
 
 from cohstat.cli import ConfigError, RunConfig, load_config, main
 
@@ -90,6 +91,12 @@ class TestFamilyCommand:
         assert main(["family", "poisson"]) == 2
         assert "error" in capsys.readouterr().err
 
+    def test_truncation_failure_exits_1(self, capsys):
+        assert main(["family", "poisson", "--lambda", "100", "--trunc", "80"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure:") and "truncation 80" in err
+        assert err.count("\n") == 1
+
 
 class TestInferCommand:
     def test_poisson_vacuum(self, tmp_path):
@@ -121,6 +128,21 @@ class TestInferCommand:
         assert main(["infer", "poisson", "--observed", "-1"]) == 2
         assert main(["infer", "binomial", "--n", "2", "--k", "3"]) == 2
         capsys.readouterr()
+
+    def test_unresolved_quadrature_exits_1(self, tmp_path, capsys):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"n_r": 4}))
+        assert main(["infer", "poisson", "--observed", "3", "--config", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure: quadrature mass")
+        assert err.count("\n") == 1
+
+    def test_large_binomial_posterior(self, tmp_path):
+        code, payload = run_json(tmp_path, ["infer", "binomial", "--n", "1000", "--k", "300"])
+        assert code == 0
+        grid = np.array([row["parameter"] for row in payload["rows"]])
+        density = np.array([row["density_pov"] for row in payload["rows"]])
+        assert np.abs(density - beta.pdf(grid, 301, 701)).max() <= 1e-10
 
 
 class TestVerifyCommand:

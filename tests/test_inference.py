@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,11 +12,13 @@ from cohstat.fock import poisson_pmf
 from cohstat.inference import (
     FockCoherentFamily,
     InferredDistribution,
+    ResolutionError,
     SpinCoherentFamily,
     analytic_binomial_posterior,
     analytic_poisson_posterior,
     coherent_transform,
     credible_interval,
+    default_lambda_grid,
     default_p_grid,
     default_radial_cutoff,
     infer_via_pov,
@@ -180,6 +184,96 @@ class TestInferViaPov:
     def test_rejects_insufficient_quadrature(self):
         rule = plane_quadrature(1.5, 50, 9)
         with pytest.raises(ValueError, match="quadrature mass"):
+            infer_via_pov(2, FockCoherentFamily(16), rule)
+
+
+def dense_posterior(observed, family, rule, grid):
+    """Posterior from the full amplitude tensor, summing the rule's angle nodes."""
+    joint = np.abs(family.amplitudes(rule.principal_nodes, rule.angle_nodes)[:, :, observed]) ** 2
+    mass = rule.principal_weights @ joint @ rule.angle_weights
+    if rule.kind == "plane":
+        principal, scale = np.sqrt(grid), 1.0 / (2.0 * math.pi)
+    else:
+        principal, scale = 2.0 * np.arcsin(np.sqrt(grid)), family.dim / (2.0 * math.pi)
+    grid_joint = np.abs(family.amplitudes(principal, rule.angle_nodes)[:, :, observed]) ** 2
+    return scale * (grid_joint @ rule.angle_weights), mass
+
+
+def dense_identity_residual(family, rule, n_basis):
+    flat = family.amplitudes(rule.principal_nodes, rule.angle_nodes)[:, :, :n_basis].reshape(-1, n_basis)
+    gram = (flat * rule.weights[:, None]).T @ flat.conj()
+    return float(np.abs(gram - np.eye(n_basis)).max())
+
+
+def coarse_angle_rule(j):
+    """Sphere rule with 2j angle nodes, too few for sphere_quadrature: lag 2j aliases onto lag 0."""
+    rule = spin_rule(j)
+    n_gamma = rule.principal_nodes.size - 2
+    gammas = 2.0 * math.pi * np.arange(n_gamma) / n_gamma
+    return dataclasses.replace(rule, angle_nodes=gammas, angle_weights=np.full(n_gamma, 2.0 * math.pi / n_gamma))
+
+
+class TestSeparableAmplitudes:
+    @pytest.mark.parametrize("j", [0.5, 1.0, 2.5, 5.0, 10.0])
+    def test_spin_posterior_matches_dense_reference(self, j):
+        family = SpinCoherentFamily(build_spin_rep(j))
+        grid = default_p_grid()
+        for rule in (spin_rule(j), coarse_angle_rule(j)):
+            for observed in range(family.dim):
+                dense, mass = dense_posterior(observed, family, rule, grid)
+                dist = infer_via_pov(observed, family, rule, grid)
+                # subnormal densities near p = 0 or 1 carry no relative precision
+                np.testing.assert_allclose(dist.density, dense, rtol=1e-13, atol=np.finfo(float).tiny)
+                assert dist.total_mass == pytest.approx(mass, rel=1e-13, abs=0.0)
+
+    def test_plane_posterior_matches_dense_reference(self):
+        family = FockCoherentFamily(20)
+        for observed in (0, 3, 11, 19):
+            grid = default_lambda_grid(observed)
+            rule = plane_quadrature(default_radial_cutoff(grid[-1]), 200, 16)
+            dense, mass = dense_posterior(observed, family, rule, grid)
+            dist = infer_via_pov(observed, family, rule, grid)
+            np.testing.assert_allclose(dist.density, dense, rtol=1e-13, atol=np.finfo(float).tiny)
+            assert dist.total_mass == pytest.approx(mass, rel=1e-13, abs=0.0)
+
+    @pytest.mark.parametrize("j", [0.5, 1.0, 2.5, 5.0, 10.0])
+    def test_spin_identity_matches_dense_gram(self, j):
+        family = SpinCoherentFamily(build_spin_rep(j))
+        rule = spin_rule(j)
+        residual = resolution_of_identity_check(family, rule)
+        assert residual < 1e-12
+        assert abs(residual - dense_identity_residual(family, rule, family.dim)) < 1e-13
+
+    def test_plane_identity_matches_dense_gram(self):
+        family = FockCoherentFamily(32)
+        rule = plane_quadrature(10.0, 200, 65)
+        residual = resolution_of_identity_check(family, rule, n_basis=20)
+        assert abs(residual - dense_identity_residual(family, rule, 20)) < 1e-13
+
+    @pytest.mark.parametrize("j", [0.5, 1.0, 2.5, 5.0, 10.0])
+    def test_coarse_angle_rule_shows_in_identity_check(self, j):
+        family = SpinCoherentFamily(build_spin_rep(j))
+        rule = coarse_angle_rule(j)
+        residual = resolution_of_identity_check(family, rule)
+        assert residual > 1e-6  # the check passes below 1e-12
+        assert residual == pytest.approx(dense_identity_residual(family, rule, family.dim), rel=1e-12)
+
+    def test_posterior_memory_is_linear_in_the_rule(self):
+        # the dense angle tensor at j = 100 would need about 1.3 GB
+        family = SpinCoherentFamily(build_spin_rep(100))
+        rule = spin_rule(100)
+        tracemalloc.start()
+        try:
+            dist = infer_via_pov(60, family, rule)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert abs(dist.total_mass - 1.0) < 1e-10
+        assert peak < 16 * 2**20
+
+    def test_unresolved_rule_raises_resolution_error(self):
+        rule = plane_quadrature(1.5, 50, 9)
+        with pytest.raises(ResolutionError, match="quadrature mass"):
             infer_via_pov(2, FockCoherentFamily(16), rule)
 
 
