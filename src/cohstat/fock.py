@@ -187,10 +187,10 @@ def coherent_closed_form(alpha: complex, space: FockSpace, tail_tol: float = DEF
     )
 
 
-def displacement_matrix(alpha: complex, rep: LadderRep, tol: float = 1e-12) -> np.ndarray:
+def displacement_matrix(alpha: complex, rep: LadderRep) -> np.ndarray:
     """exp(alpha A+ - conj(alpha) A) on the truncated space."""
     generator = alpha * rep.creation - np.conjugate(alpha) * rep.annihilation
-    return matrix_exponential(generator, tol=tol)
+    return matrix_exponential(generator)
 
 
 def _vacuum(dim: int) -> np.ndarray:

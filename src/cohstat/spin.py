@@ -68,12 +68,9 @@ def _as_two_j(j) -> int:
 
 @dataclass(frozen=True)
 class SpinRep:
-    """Weight, raising, and lowering matrices of the spin-j representation."""
+    """Spin-j representation, carried by 2j; its matrices are built when read."""
 
     two_j: int
-    j3: np.ndarray
-    j_plus: np.ndarray
-    j_minus: np.ndarray
 
     @property
     def j(self) -> float:
@@ -88,6 +85,25 @@ class SpinRep:
         return (np.arange(self.dim) * 2 - self.two_j) / 2.0
 
     @property
+    def j3(self) -> np.ndarray:
+        """Diagonal weight matrix with entries m = -j..j."""
+        return np.diag(self.m_values).astype(complex)
+
+    @property
+    def j_plus(self) -> np.ndarray:
+        """Raising matrix, J+ phi_m = sqrt((j-m)(j+m+1)) phi_{m+1}."""
+        # at index i (m = -j + i): (j - m)(j + m + 1) = (2j - i)(i + 1)
+        i = np.arange(self.two_j)
+        j_plus = np.zeros((self.dim, self.dim), dtype=complex)
+        j_plus[i + 1, i] = np.sqrt((self.two_j - i) * (i + 1.0))
+        return j_plus
+
+    @property
+    def j_minus(self) -> np.ndarray:
+        """Lowering matrix, the exact adjoint of J+."""
+        return adjoint(self.j_plus)
+
+    @property
     def j1(self) -> np.ndarray:
         return (self.j_plus + self.j_minus) / 2.0
 
@@ -97,22 +113,8 @@ class SpinRep:
 
 
 def build_spin_rep(j) -> SpinRep:
-    """Spin-j matrices from the ladder coefficients.
-
-    J+ phi_m = sqrt((j-m)(j+m+1)) phi_{m+1} and J- is its exact adjoint;
-    J3 is diagonal with entries m = -j..j.
-    """
-    two_j = _as_two_j(j)
-    dim = two_j + 1
-    m = (np.arange(dim) * 2 - two_j) / 2.0
-    # at index i (m = -j + i): (j - m)(j + m + 1) = (2j - i)(i + 1)
-    i = np.arange(dim - 1)
-    raise_coeff = np.sqrt((two_j - i) * (i + 1.0))
-    j_plus = np.zeros((dim, dim), dtype=complex)
-    j_plus[i + 1, i] = raise_coeff
-    j_minus = adjoint(j_plus)
-    j3 = np.diag(m).astype(complex)
-    return SpinRep(two_j=two_j, j3=j3, j_plus=j_plus, j_minus=j_minus)
+    """Spin-j representation; raises ValueError unless j is a nonnegative half-integer."""
+    return SpinRep(two_j=_as_two_j(j))
 
 
 @dataclass(frozen=True)

@@ -1,11 +1,17 @@
 import argparse
 import json
 import math
+import os
+import subprocess
+import sys
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.stats import beta
 
+import cohstat
 from cohstat.cli import ConfigError, RunConfig, load_config, main
 
 
@@ -84,6 +90,17 @@ class TestFamilyCommand:
         assert code == 0
         probs = [row["probability"] for row in payload["rows"]]
         assert np.abs(np.array(probs) - [0.25, 0.5, 0.25]).max() < 1e-14
+
+    def test_binomial_allocates_no_spin_matrices(self, tmp_path):
+        # n = 2000 would need three (n+1)^2 complex matrices, about 190 MB
+        tracemalloc.start()
+        try:
+            code = main(["family", "binomial", "--n", "2000", "--p", "0.5", "--out", str(tmp_path / "out.json")])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert peak < 16 * 2**20
 
     def test_invalid_parameters_exit_2(self, capsys):
         assert main(["family", "poisson", "--lambda", "-1"]) == 2
@@ -216,3 +233,12 @@ class TestOutputFormats:
         assert payload["config"]["trunc"] == 70
         assert payload["config"]["format"] == "json"
         assert "out" not in payload["config"]
+
+
+class TestImportPath:
+    def test_cli_import_leaves_scipy_linalg_unloaded(self):
+        # family and infer never exponentiate, so they should not pay for scipy.linalg
+        env = dict(os.environ, PYTHONPATH=str(Path(cohstat.__file__).parent.parent))
+        code = "import sys, cohstat.cli; print('scipy.linalg' in sys.modules)"
+        result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+        assert result.stdout.strip() == "False"

@@ -156,6 +156,12 @@ class TestBCH:
     def test_under_truncated_probe(self):
         assert bch_check(3.0, build_ladder(16)) > 1e-3
 
+    @pytest.mark.parametrize("trunc", [64, 256])
+    @pytest.mark.parametrize("radius", [1.0, 2.0, 3.0])
+    def test_well_truncated_at_cli_sizes(self, radius, trunc):
+        alpha = radius * np.exp(0.7j)
+        assert bch_check(alpha, build_ladder(trunc)) < 1e-10
+
 
 class TestPoissonPmf:
     def test_vacuum_count(self):
@@ -218,6 +224,12 @@ class TestTranslationProperty:
         # probe needs a pair with a genuine twist
         with pytest.raises(TruncationError, match="overlap"):
             displacement_translation_check(3.0, 3.0j, build_ladder(16))
+
+    def test_phase_matches_analytic_value_at_trunc_128(self):
+        alpha, beta = 1.5 - 1.2j, -0.9 + 1.6j
+        overlap, phase = displacement_translation_check(alpha, beta, build_ladder(128))
+        assert abs(overlap - 1.0) < 1e-12
+        assert abs(phase - np.exp(1j * (beta * np.conjugate(alpha)).imag)) < 1e-12
 
     @given(seed=st.integers(0, 2**32 - 1))
     @settings(max_examples=15, deadline=None)

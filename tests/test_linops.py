@@ -141,6 +141,15 @@ class TestMatrixExponential:
         with pytest.raises(RuntimeError, match="did not reach"):
             matrix_exponential(np.eye(3), tol=1e-200)
 
+    def test_unitary_against_eigendecomposition_at_cli_size(self):
+        # exp(iH) = V diag(e^{i lambda}) V* from an independent spectral route
+        rng = np.random.default_rng(256)
+        h = random_hermitian(rng, 256)
+        decomp = hermitian_eigendecomposition(h)
+        v = decomp.eigenvectors
+        oracle = (v * np.exp(1j * decomp.eigenvalues)) @ v.conj().T
+        assert np.abs(matrix_exponential(1j * h) - oracle).max() < 1e-12
+
     @given(seed=st.integers(0, 2**32 - 1), dim=st.integers(2, 16))
     @settings(max_examples=20, deadline=None)
     def test_exp_of_skew_hermitian_is_unitary(self, seed, dim):
