@@ -18,6 +18,7 @@ import json
 import math
 import sys
 from dataclasses import dataclass
+from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
@@ -154,20 +155,19 @@ def _family_poisson(config: RunConfig, lam: float) -> dict:
     alpha = math.sqrt(lam)
     trunc = config.trunc if config.trunc is not None else fock.default_truncation(alpha)
     state = fock.coherent_closed_form(alpha, fock.FockSpace(trunc), tail_tol=config.tail_tol)
-    coherent_probs = np.abs(state.vector.vector) ** 2
-
-    rows = []
-    cumulative = 0.0
-    max_diff = 0.0
-    for n in range(trunc):
-        pmf = fock.poisson_pmf(alpha, n)
-        rows.append({"outcome": n, "probability": float(coherent_probs[n]), "pmf": pmf})
-        max_diff = max(max_diff, abs(coherent_probs[n] - pmf))
-        cumulative += pmf
-        if cumulative >= 1.0 - _ROW_CUMULATIVE_STOP:
-            break
+    # rows stop at the first outcome whose cumulative pmf reaches 1 - _ROW_CUMULATIVE_STOP;
+    # the rate is alpha**2, the one fock.poisson_pmf(alpha, n) sees, not lam itself
+    pmf = fock._poisson_weight(alpha**2, np.arange(trunc))
+    reached = np.flatnonzero(np.cumsum(pmf) >= 1.0 - _ROW_CUMULATIVE_STOP)
+    stop = int(reached[0]) + 1 if reached.size else trunc
+    pmf = pmf[:stop]
+    coherent_probs = (np.abs(state.vector.vector) ** 2)[:stop]
+    rows = [
+        {"outcome": n, "probability": prob, "pmf": q}
+        for n, prob, q in zip(range(stop), coherent_probs.tolist(), pmf.tolist())
+    ]
     footer = {
-        "max_abs_diff": float(max_diff),
+        "max_abs_diff": float(np.abs(coherent_probs - pmf).max()),
         "trunc": trunc,
         "tail_mass": state.tail_mass,
     }
@@ -442,9 +442,63 @@ def _render_csv(payload: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
+_SCALARS = (int, float, type(None))  # bool is an int
+
+
+def _json_key(key) -> str:
+    if not isinstance(key, str):
+        raise ValueError(f"JSON keys must be strings, got {key!r}")
+    return json.dumps(key)
+
+
+def _encode_column(values: list) -> list[str]:
+    """Each cell's JSON text, exactly as ``json.dumps`` writes it.
+
+    A column without strings is one C-encoded ``json.dumps(list)`` call split
+    on ``", "``, which no JSON number, ``true``, ``false`` or ``null`` holds;
+    a column with strings is encoded cell by cell.
+    """
+    kinds = set(map(type, values))
+    if all(issubclass(kind, _SCALARS) for kind in kinds):
+        return json.dumps(values)[1:-1].split(", ")
+    if all(issubclass(kind, (*_SCALARS, str)) for kind in kinds):
+        return list(map(json.dumps, values))
+    raise ValueError(f"table cells must be numbers, bools, None or strings, got {kinds}")
+
+
+def _render_rows(rows: list[dict]) -> str:
+    """``json.dumps(rows, indent=2)`` one level deep, written column by column."""
+    if not rows:
+        return "[]"
+    keys = list(rows[0])
+    if any(map(keys.__ne__, map(list, rows))):
+        raise ValueError("table rows must share their keys in one order")
+    if not keys:
+        return "[\n" + ",\n".join(["    {}"] * len(rows)) + "\n  ]"
+    fields = [f"      {_json_key(key).replace('%', '%%')}: %s" for key in keys]
+    template = "    {\n" + ",\n".join(fields) + "\n    }"
+    columns = [_encode_column(list(map(itemgetter(key), rows))) for key in keys]
+    return "[\n" + ",\n".join(map(template.__mod__, zip(*columns))) + "\n  ]"
+
+
+def _render_json(payload: dict) -> str:
+    """Exactly ``json.dumps(payload, indent=2)``, with ``rows`` written from whole columns.
+
+    Every other top-level value goes through ``json.dumps(value, indent=2)``
+    with each newline re-indented one level; JSON escapes newlines inside
+    strings, so only structural newlines move.
+    """
+    items = [
+        f"  {_json_key(key)}: "
+        + (_render_rows(value) if key == "rows" else json.dumps(value, indent=2).replace("\n", "\n  "))
+        for key, value in payload.items()
+    ]
+    return "{\n" + ",\n".join(items) + "\n}" if items else "{}"
+
+
 def _emit(payload: dict, config: RunConfig) -> None:
     if config.format == "json":
-        text = json.dumps(payload, indent=2) + "\n"
+        text = _render_json(payload) + "\n"
     else:
         text = _render_csv(payload)
     if config.out is None:

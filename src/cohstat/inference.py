@@ -117,13 +117,15 @@ def sphere_quadrature(j, n_theta: int, n_gamma: int) -> QuadratureRule:
 
     Gauss-Legendre in cos(theta) times a uniform rule in gamma.  The node
     counts must resolve the degree-2j integrands of the spin-j family:
-    n_theta >= 2j+2 and n_gamma >= 4j+1.
+    n_theta >= 2j+2, and n_gamma >= 2j+1 because the angle integrands
+    e^{-i(k-l)gamma} have lags |k-l| <= 2j, none of which a uniform rule of
+    2j+1 or more nodes aliases onto lag 0.
     """
     two_j = spin._as_two_j(j)
     if n_theta < two_j + 2:
         raise ValueError(f"need n_theta >= {two_j + 2} for j={two_j / 2}, got {n_theta}")
-    if n_gamma < 2 * two_j + 1:
-        raise ValueError(f"need n_gamma >= {2 * two_j + 1} for j={two_j / 2}, got {n_gamma}")
+    if n_gamma < two_j + 1:
+        raise ValueError(f"need n_gamma >= {two_j + 1} for j={two_j / 2}, got {n_gamma}")
     u, w = roots_legendre(n_theta)
     theta = np.arccos(u)[::-1].copy()
     theta_weights = w[::-1] * (two_j + 1.0) / (4.0 * math.pi)
@@ -444,27 +446,31 @@ def credible_interval(dist: InferredDistribution, mass: float) -> tuple[float, f
     """
     if not 0.0 < mass < 1.0:
         raise ValueError(f"mass must lie strictly between 0 and 1, got {mass!r}")
-    grid = dist.grid
-    segments = 0.5 * (dist.density[1:] + dist.density[:-1]) * np.diff(grid)
-    cumulative = np.concatenate([[0.0], np.cumsum(segments)])
+    segments = 0.5 * (dist.density[1:] + dist.density[:-1]) * np.diff(dist.grid)
+    # the two-pointer scan runs over Python floats: the same IEEE double
+    # arithmetic as numpy scalars, without their per-element overhead
+    cumulative = [0.0, *np.cumsum(segments).tolist()]
+    grid = dist.grid.tolist()
     if cumulative[-1] < mass:
         raise ValueError(
             f"grid supports only mass {cumulative[-1]!r}, cannot cover {mass!r}"
         )
-    width_tol = 1e-12 * max(1.0, float(grid[-1] - grid[0]))
+    width_tol = 1e-12 * max(1.0, grid[-1] - grid[0])
     best: tuple[float, float, int, int] | None = None
     right = 0
-    for left in range(grid.shape[0]):
-        right = max(right, left)
-        while right < grid.shape[0] - 1 and cumulative[right] - cumulative[left] < mass:
+    last = len(grid) - 1
+    for left, (base, x_left) in enumerate(zip(cumulative, grid)):
+        if right < left:
+            right = left
+        while right < last and cumulative[right] - base < mass:
             right += 1
-        window_mass = float(cumulative[right] - cumulative[left])
+        window_mass = cumulative[right] - base
         if window_mass < mass:
             break
-        width = float(grid[right] - grid[left])
+        width = grid[right] - x_left
         shorter = best is None or width < best[0] - width_tol
-        heavier_tie = best is not None and abs(width - best[0]) <= width_tol and window_mass > best[1]
+        heavier_tie = not shorter and abs(width - best[0]) <= width_tol and window_mass > best[1]
         if shorter or heavier_tie:
             best = (width, window_mass, left, right)
     assert best is not None
-    return float(grid[best[2]]), float(grid[best[3]])
+    return grid[best[2]], grid[best[3]]

@@ -9,9 +9,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.stats import beta
 
 import cohstat
+from cohstat import cli, fock
 from cohstat.cli import ConfigError, RunConfig, load_config, main
 
 
@@ -107,6 +110,27 @@ class TestFamilyCommand:
         assert main(["family", "binomial", "--n", "2", "--p", "1.0"]) == 2
         assert main(["family", "poisson"]) == 2
         assert "error" in capsys.readouterr().err
+
+    # 2.0: sqrt(2)**2 != 2, so the rows must use the rate poisson_pmf sees, not lambda itself
+    @pytest.mark.parametrize("lam", [0.0, 0.01, 1.0, 2.0, 1000.0, 10000.0])
+    def test_poisson_rows_match_per_row_pmf_loop(self, tmp_path, lam):
+        # oracle: one fock.poisson_pmf call per row, stopping once the cumulative pmf reaches 1 - 1e-12
+        alpha = math.sqrt(lam)
+        trunc = fock.default_truncation(alpha)
+        probs = np.abs(fock.coherent_closed_form(alpha, fock.FockSpace(trunc)).vector.vector) ** 2
+        expected, cumulative, max_diff = [], 0.0, 0.0
+        for n in range(trunc):
+            pmf = fock.poisson_pmf(alpha, n)
+            expected.append({"outcome": n, "probability": float(probs[n]), "pmf": pmf})
+            max_diff = max(max_diff, abs(probs[n] - pmf))
+            cumulative += pmf
+            if cumulative >= 1.0 - 1e-12:
+                break
+        code, payload = run_json(tmp_path, ["family", "poisson", "--lambda", repr(lam)])
+        assert code == 0
+        assert len(payload["rows"]) == len(expected)
+        assert payload["rows"] == expected
+        assert payload["footer"]["max_abs_diff"] == float(max_diff)
 
     def test_truncation_failure_exits_1(self, capsys):
         assert main(["family", "poisson", "--lambda", "100", "--trunc", "80"]) == 1
@@ -227,12 +251,89 @@ class TestOutputFormats:
         payload = json.loads(capsys.readouterr().out)
         assert payload["command"] == "family"
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["infer", "poisson", "--observed", "200"],
+            ["family", "poisson", "--lambda", "1000"],
+            ["verify", "--check", "all"],
+        ],
+        ids=["infer", "family", "verify"],
+    )
+    def test_stdout_is_indented_json_dumps(self, monkeypatch, capsys, argv):
+        payloads = []
+        render = cli._render_json
+        monkeypatch.setattr(cli, "_render_json", lambda payload: payloads.append(payload) or render(payload))
+        assert main(argv) == 0
+        assert capsys.readouterr().out == json.dumps(payloads[0], indent=2) + "\n"
+
     def test_config_echoed(self, tmp_path):
         code, payload = run_json(tmp_path, ["family", "poisson", "--lambda", "1", "--trunc", "70"])
         assert code == 0
         assert payload["config"]["trunc"] == 70
         assert payload["config"]["format"] == "json"
         assert "out" not in payload["config"]
+
+
+SPECIAL_FLOATS = [math.nan, math.inf, -math.inf, -0.0, 5e-324, 1.7976931348623157e308]
+TRICKY_TEXT = [", ", '", "', '"', "\\", "\n", "\u2028", "naïve ✓ 𝜆", "%s %% %", ""]
+
+floats = st.floats() | st.sampled_from(SPECIAL_FLOATS)
+texts = st.text() | st.sampled_from(TRICKY_TEXT)
+numbers = st.one_of(floats, st.integers(), st.booleans(), st.none())
+scalars = numbers | texts
+# one strategy per column: uniform columns take the whole-column path, mixed ones the per-cell path
+column_cells = st.sampled_from([floats, st.integers(), st.booleans(), st.none(), texts, numbers, scalars])
+json_values = st.recursive(
+    scalars, lambda children: st.lists(children, max_size=3) | st.dictionaries(texts, children, max_size=3), max_leaves=8
+)
+
+
+@st.composite
+def payloads(draw):
+    keys = draw(st.lists(texts, unique=True, max_size=5))
+    cells = [draw(column_cells) for _ in keys]
+    rows = [{key: draw(cell) for key, cell in zip(keys, cells)} for _ in range(draw(st.integers(0, 6)))]
+    items = list(draw(st.dictionaries(texts.filter(lambda key: key != "rows"), json_values, max_size=4)).items())
+    items.insert(draw(st.integers(0, len(items))), ("rows", rows))
+    return dict(items)
+
+
+class TestJsonRenderer:
+    @settings(max_examples=300, deadline=None)
+    @given(payloads())
+    def test_equals_indented_json_dumps(self, payload):
+        assert cli._render_json(payload) == json.dumps(payload, indent=2)
+
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            [],
+            [{}, {}],
+            [{"x": value} for value in SPECIAL_FLOATS],
+            [{"text": text, "n": i} for i, text in enumerate(TRICKY_TEXT)],
+            [{"mixed": 1.5}, {"mixed": ", "}, {"mixed": None}, {"mixed": True}],
+            [{"wide": np.float64(0.1), "int": 2**70}],
+        ],
+    )
+    def test_edge_rows(self, rows):
+        payload = {"schema_version": 1, "rows": rows, "footer": {"note": "a\nb", "levels": [0.5, 0.9]}}
+        assert cli._render_json(payload) == json.dumps(payload, indent=2)
+
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            [{"a": 1, "b": 2}, {"b": 2, "a": 1}],
+            [{"a": 1}, {"a": 1, "b": 2}],
+            [{1: 0.5}],
+            [{"a": [1.0]}],
+            [{"a": {"b": 1}}],
+            [{"a": np.float32(0.5)}],
+        ],
+    )
+    def test_refuses_rows_it_cannot_write_exactly(self, rows):
+        with pytest.raises(ValueError):
+            cli._render_json({"rows": rows})
 
 
 class TestImportPath:

@@ -79,11 +79,20 @@ class TestSphereQuadrature:
         p = np.sin(rule.nodes[:, 0] / 2.0) ** 2
         assert np.sum(rule.weights * p) == pytest.approx(1.0, abs=1e-13)
 
+    @pytest.mark.parametrize("j", [0.5, 1.0, 2.5, 5.0, 10.0])
+    def test_2j_plus_1_angle_nodes_resolve_identity(self, j):
+        # lags |k - l| reach at most 2j, so 2j + 1 uniform angle nodes alias none of them onto 0
+        rep = build_spin_rep(j)
+        rule = sphere_quadrature(j, rep.two_j + 2, rep.two_j + 1)
+        assert resolution_of_identity_check(SpinCoherentFamily(rep), rule) < 1e-12
+        with pytest.raises(ValueError, match="n_gamma"):
+            sphere_quadrature(j, rep.two_j + 2, rep.two_j)
+
     def test_rejects_insufficient_nodes(self):
         with pytest.raises(ValueError, match="n_theta"):
             sphere_quadrature(2.0, 4, 20)
         with pytest.raises(ValueError, match="n_gamma"):
-            sphere_quadrature(2.0, 8, 6)
+            sphere_quadrature(2.0, 8, 4)
 
 
 class TestResolutionOfIdentity:
@@ -371,7 +380,44 @@ def brute_force_interval(dist, mass):
     return float(grid[best[1]]), float(grid[best[2]])
 
 
+def numpy_scalar_interval(dist, mass):
+    """The two-pointer scan of credible_interval over numpy scalars, as an exact oracle for its list form."""
+    grid = dist.grid
+    segments = 0.5 * (dist.density[1:] + dist.density[:-1]) * np.diff(grid)
+    cumulative = np.concatenate([[0.0], np.cumsum(segments)])
+    width_tol = 1e-12 * max(1.0, float(grid[-1] - grid[0]))
+    best = None
+    right = 0
+    for left in range(grid.shape[0]):
+        right = max(right, left)
+        while right < grid.shape[0] - 1 and cumulative[right] - cumulative[left] < mass:
+            right += 1
+        window_mass = float(cumulative[right] - cumulative[left])
+        if window_mass < mass:
+            break
+        width = float(grid[right] - grid[left])
+        shorter = best is None or width < best[0] - width_tol
+        heavier_tie = best is not None and abs(width - best[0]) <= width_tol and window_mass > best[1]
+        if shorter or heavier_tie:
+            best = (width, window_mass, left, right)
+    assert best is not None
+    return float(grid[best[2]]), float(grid[best[3]])
+
+
 class TestCredibleInterval:
+    @pytest.mark.parametrize("mass", [0.5, 0.9, 0.95])
+    @pytest.mark.parametrize("n", [0, 1, 200, 999])
+    def test_poisson_matches_numpy_scalar_scan(self, n, mass):
+        dist = analytic_poisson_posterior(n)
+        assert credible_interval(dist, mass) == numpy_scalar_interval(dist, mass)
+
+    @pytest.mark.parametrize("mass", [0.5, 0.9, 0.95])
+    @pytest.mark.parametrize("n, k", [(0, 0), (20, 7), (200, 77)])
+    def test_binomial_matches_numpy_scalar_scan(self, n, k, mass):
+        # (0, 0) is the flat density, where every window of the minimal width ties
+        dist = analytic_binomial_posterior(n, k)
+        assert credible_interval(dist, mass) == numpy_scalar_interval(dist, mass)
+
     def test_symmetric_beta(self):
         dist = analytic_binomial_posterior(2, 1)
         low, high = credible_interval(dist, 0.5)
