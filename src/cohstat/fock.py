@@ -4,9 +4,11 @@ The annihilation/creation pair acts on a finite basis phi_0..phi_{K-1}, so
 the canonical commutation relation [A, A+] = I holds only below the top
 level; the top-level defect is a documented truncation artifact.  Coherent
 states come from two routes that must agree: the closed-form expansion
-with coefficients e^{-|a|^2/2} a^k / sqrt(k!), and the matrix exponential
-of a*A+ - conj(a)*A applied to the vacuum.  Squared coefficients are the
-Poisson(|a|^2) weights.
+with coefficients e^{-|a|^2/2} a^k / sqrt(k!), and the displacement applied
+to the vacuum.  Its generator a*A+ - conj(a)*A equals -i|a| W S W*, with
+W = diag(e^{ik(arg a + pi/2)}) and the real tridiagonal S = A + A+, so
+displacements use the eigendecomposition of S, which depends only on the
+truncation.  Squared coefficients are the Poisson(|a|^2) weights.
 """
 
 from __future__ import annotations
@@ -33,7 +35,6 @@ __all__ = [
     "coherent_magnitudes",
     "coherent_via_exponential",
     "default_truncation",
-    "displacement_matrix",
     "displacement_translation_check",
     "poisson_pmf",
     "poisson_tail",
@@ -187,10 +188,23 @@ def coherent_closed_form(alpha: complex, space: FockSpace, tail_tol: float = DEF
     )
 
 
-def displacement_matrix(alpha: complex, rep: LadderRep) -> np.ndarray:
-    """exp(alpha A+ - conj(alpha) A) on the truncated space."""
-    generator = alpha * rep.creation - np.conjugate(alpha) * rep.annihilation
-    return matrix_exponential(generator)
+def _position_spectrum(dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenpairs of S = A + A+ (sqrt(2) times the truncated position operator)."""
+    from scipy.linalg import eigh_tridiagonal  # deferred: slow to import, and family/infer never displace
+
+    return eigh_tridiagonal(np.zeros(dim), np.sqrt(np.arange(1.0, dim)))
+
+
+def _displace(alpha: complex, vec: np.ndarray, spectrum: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+    """exp(alpha A+ - conj(alpha) A) vec as W Q diag(e^{-i|alpha|lambda}) Q^T W* vec."""
+    if not np.isfinite(alpha):
+        raise ValueError("displacement must be finite")
+    eigenvalues, q = spectrum
+    w = np.exp(1j * (np.angle(alpha) + 0.5 * math.pi) * np.arange(eigenvalues.size))
+    # Q is real: multiply it into the (d, 2) real view of each complex vector
+    x = (q.T @ (np.conjugate(w) * vec).view(float).reshape(-1, 2)).view(complex).ravel()
+    y = np.exp(-1j * abs(alpha) * eigenvalues) * x
+    return w * (q @ y.view(float).reshape(-1, 2)).view(complex).ravel()
 
 
 def _vacuum(dim: int) -> np.ndarray:
@@ -209,7 +223,7 @@ def coherent_via_exponential(alpha: complex, rep: LadderRep, tol: float = 1e-10)
         raise ValueError("tol must be positive")
     alpha = complex(alpha)
     closed = coherent_closed_form(alpha, rep.space, tail_tol=max(tol, DEFAULT_TAIL_TOL))
-    vec = displacement_matrix(alpha, rep) @ _vacuum(rep.dim)
+    vec = _displace(alpha, _vacuum(rep.dim), _position_spectrum(rep.dim))
     distance = phase_aligned_distance(vec, closed.vector.vector)
     if distance > 10.0 * tol:
         raise TruncationError(
@@ -256,8 +270,9 @@ def displacement_translation_check(
     alpha = complex(alpha)
     beta = complex(beta)
     vacuum = _vacuum(rep.dim)
-    moved = displacement_matrix(beta, rep) @ (displacement_matrix(alpha, rep) @ vacuum)
-    direct = displacement_matrix(beta + alpha, rep) @ vacuum
+    spectrum = _position_spectrum(rep.dim)
+    moved = _displace(beta, _displace(alpha, vacuum, spectrum), spectrum)
+    direct = _displace(beta + alpha, vacuum, spectrum)
     overlap_c = np.vdot(direct, moved)
     overlap = abs(overlap_c)
     if abs(overlap - 1.0) > overlap_tol:

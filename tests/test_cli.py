@@ -9,6 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import beta
@@ -222,6 +223,38 @@ class TestVerifyCommand:
         payload = json.loads(out.read_text())
         assert payload["rows"][0]["threshold"] == 100.0
         assert payload["rows"][0]["status"] == "pass"
+
+    @pytest.mark.parametrize("seed", range(5))
+    @pytest.mark.parametrize("trunc", [64, 128, 512])
+    def test_translation_matches_dense_exponentials(self, tmp_path, trunc, seed):
+        args = ["verify", "--check", "translation", "--trunc", str(trunc), "--seed", str(seed)]
+        code, payload = run_json(tmp_path, args)
+        assert code == 0
+        assert payload["footer"] == {"all_pass": True, "n_checks": 10}
+        # the same draws as the CLI; the params strings show they match
+        rng = np.random.default_rng(seed)
+        pairs = [
+            tuple(2.0 * math.sqrt(rng.uniform()) * np.exp(1j * rng.uniform(0.0, 2.0 * math.pi)) for _ in range(2))
+            for _ in range(10)
+        ]
+        for row, (a, b) in zip(payload["rows"], pairs):
+            assert row["params"] == f"alpha={cli._fmt_complex(a)} beta={cli._fmt_complex(b)} trunc={trunc}"
+            assert row["residual"] < 1e-13
+        rep = fock.build_ladder(trunc)
+
+        def dense(z):
+            return scipy.linalg.expm(z * rep.creation - np.conjugate(z) * rep.annihilation)
+
+        # a dense 512x512 exponential takes about a second: seed 0's first pair stands for that size
+        dense_pairs = 10 if trunc < 512 else int(seed == 0)
+        for row, (a, b) in zip(payload["rows"][:dense_pairs], pairs):
+            inner = np.vdot(dense(a + b)[:, 0], dense(b) @ dense(a)[:, 0])
+            overlap, phase = fock.displacement_translation_check(a, b, rep)
+            assert abs(overlap - abs(inner)) < 1e-13
+            assert abs(phase - inner / abs(inner)) < 1e-13
+            expected = np.exp(1j * (b * np.conjugate(a)).imag)
+            dense_residual = max(abs(abs(inner) - 1.0), abs(inner / abs(inner) - expected))
+            assert abs(row["residual"] - dense_residual) < 1e-13
 
     def test_unknown_check_exits_2(self, capsys):
         assert main(["verify", "--check", "nonsense"]) == 2

@@ -2,9 +2,11 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.linalg import expm
 
+from cohstat import fock
 from cohstat.fock import (
     FockSpace,
     TruncationError,
@@ -19,7 +21,7 @@ from cohstat.fock import (
     poisson_tail,
     wh_multiply,
 )
-from cohstat.linops import phase_aligned_distance
+from cohstat.linops import matrix_exponential, phase_aligned_distance
 
 finite_complex = st.complex_numbers(max_magnitude=5.0, allow_nan=False, allow_infinity=False)
 
@@ -243,3 +245,50 @@ class TestTranslationProperty:
         overlap, phase = displacement_translation_check(alpha, beta, rep)
         assert abs(overlap - 1.0) < 1e-8
         assert abs(phase - np.exp(1j * (beta * np.conjugate(alpha)).imag)) < 1e-8
+
+
+class TestSpectralDisplacement:
+    """D(alpha) applied through the eigenpairs of A + A+, against scipy's dense expm."""
+
+    @given(
+        dim=st.sampled_from([2, 16, 64, 128, 256]),
+        radius=st.floats(0.0, 4.0),
+        angle=st.floats(0.0, 2.0 * math.pi),
+        seed=st.one_of(st.none(), st.integers(0, 2**32 - 1)),
+    )
+    @example(dim=256, radius=0.0, angle=0.0, seed=None)
+    @example(dim=256, radius=0.0, angle=1.0, seed=7)
+    @example(dim=256, radius=4.0, angle=2.5, seed=11)
+    @settings(max_examples=60, deadline=None)
+    def test_matches_dense_exponential(self, dim, radius, angle, seed):
+        alpha = radius * np.exp(1j * angle)
+        if seed is None:
+            vec = basis_vector(dim, 0)
+        else:
+            rng = np.random.default_rng(seed)
+            vec = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+            vec /= np.linalg.norm(vec)
+        rep = build_ladder(dim)
+        reference = expm(alpha * rep.creation - np.conjugate(alpha) * rep.annihilation) @ vec
+        displaced = fock._displace(alpha, vec, fock._position_spectrum(dim))
+        assert np.abs(displaced - reference).max() < 1e-12
+        assert abs(np.linalg.norm(displaced) - np.linalg.norm(vec)) < 1e-13
+
+    def test_rejects_non_finite_displacement(self):
+        with pytest.raises(ValueError, match="finite"):
+            displacement_translation_check(complex(np.nan, 0.0), 1.0, build_ladder(8))
+
+    def test_only_bch_forms_dense_exponentials(self, monkeypatch):
+        shapes = []
+
+        def counting(m, *args, **kwargs):
+            shapes.append(np.shape(m))
+            return matrix_exponential(m, *args, **kwargs)
+
+        monkeypatch.setattr(fock, "matrix_exponential", counting)
+        rep = build_ladder(32)
+        displacement_translation_check(1.0 - 0.5j, 0.7j, rep)
+        coherent_via_exponential(0.8 + 0.3j, rep)
+        assert shapes == []
+        bch_check(1.0, rep)
+        assert shapes == [(32, 32)] * 4
