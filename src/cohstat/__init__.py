@@ -50,6 +50,7 @@ from .linops import (
 )
 from .pv_measure import (
     FinitePVMeasure,
+    NonFiniteError,
     Observable,
     StateOperator,
     VectorState,

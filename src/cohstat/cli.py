@@ -7,7 +7,8 @@ residual checks.  Output is a JSON document (schema_version, command,
 config, rows, footer) or a CSV table with ``# key=value`` footer lines.
 Exit codes: 0 success or all checks passing, 1 verification failure or
 numerical failure (a quadrature rule that does not resolve the family, a
-truncation too small for the displacement), 2 usage or configuration error.
+truncation too small for the displacement, a state or distribution that
+overflowed to non-finite values), 2 usage or configuration error.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from . import fock, inference, spin
-from .pv_measure import Observable, VectorState, born_probabilities, pv_from_observable
+from .pv_measure import NonFiniteError, Observable, VectorState, born_probabilities, pv_from_observable
 
 __all__ = ["ConfigError", "RunConfig", "UsageError", "load_config", "main"]
 
@@ -185,14 +186,13 @@ def _family_binomial(config: RunConfig, n: int, p: float) -> dict:
     point = spin.sphere_point_for_probability(p)
     state = spin.spin_coherent_closed_form(rep, point)
     coherent_probs = np.abs(state.vector.vector) ** 2
-
-    rows = []
-    max_diff = 0.0
-    for k in range(n + 1):
-        pmf = spin.binomial_pmf(rep, point, k - rep.j)
-        rows.append({"outcome": k, "probability": float(coherent_probs[k]), "pmf": pmf})
-        max_diff = max(max_diff, abs(coherent_probs[k] - pmf))
-    footer = {"max_abs_diff": float(max_diff), "theta": point.theta}
+    # every outcome's spin.binomial_pmf(rep, point, ell) at once, at the p it sees
+    pmf = spin._binomial_weight(n, np.arange(n + 1), math.sin(point.theta / 2.0) ** 2)
+    rows = [
+        {"outcome": k, "probability": prob, "pmf": q}
+        for k, (prob, q) in enumerate(zip(coherent_probs.tolist(), pmf.tolist()))
+    ]
+    footer = {"max_abs_diff": float(np.abs(coherent_probs - pmf).max()), "theta": point.theta}
     return _payload("family", config, rows, footer)
 
 
@@ -291,18 +291,19 @@ def _check_ladder(config: RunConfig) -> list[dict]:
     rep = fock.build_ladder(trunc)
     rows = []
 
+    creation_annihilation = rep.creation @ rep.annihilation
     ladder_defect = max(
         float(np.abs(rep.annihilation - np.diag(np.sqrt(np.arange(1.0, trunc)), 1)).max()),
         float(np.abs(rep.creation - rep.annihilation.conj().T).max()),
         float(np.abs(rep.number - np.diag(np.arange(float(trunc)))).max()),
-        float(np.abs(rep.number - rep.creation @ rep.annihilation).max()),
+        float(np.abs(rep.number - creation_annihilation).max()),
     )
     rows.append(_verify_row("ladder", f"relations trunc={trunc}", ladder_defect, _threshold(config, 1e-12)))
 
     truncated_identity = np.eye(trunc)
     truncated_identity[-1, -1] = -(trunc - 1.0)
     comm_defect = float(
-        np.abs(rep.annihilation @ rep.creation - rep.creation @ rep.annihilation - truncated_identity).max()
+        np.abs(rep.annihilation @ rep.creation - creation_annihilation - truncated_identity).max()
     )
     rows.append(_verify_row("ladder", f"commutation trunc={trunc}", comm_defect, _threshold(config, 1e-12)))
 
@@ -544,24 +545,27 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _run(args: argparse.Namespace, config: RunConfig) -> tuple[dict, int]:
+    if args.command == "family":
+        if args.kind == "poisson":
+            return _family_poisson(config, args.lam), 0
+        return _family_binomial(config, args.n, args.p), 0
+    if args.command == "infer":
+        if args.kind == "poisson":
+            return _infer_poisson(config, args.observed), 0
+        return _infer_binomial(config, args.n, args.k), 0
+    return _cmd_verify(config, args.check, args.alpha)
+
+
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    code = 0
     try:
         config = load_config(args)
-        if args.command == "family":
-            if args.kind == "poisson":
-                payload = _family_poisson(config, args.lam)
-            else:
-                payload = _family_binomial(config, args.n, args.p)
-        elif args.command == "infer":
-            if args.kind == "poisson":
-                payload = _infer_poisson(config, args.observed)
-            else:
-                payload = _infer_binomial(config, args.n, args.k)
-        else:
-            payload, code = _cmd_verify(config, args.check, args.alpha)
-    except (inference.ResolutionError, fock.TruncationError) as exc:
+        # overflow surfaces as a non-finite state, mass or residual, which is
+        # reported below or fails its check, so numpy need not warn about it
+        with np.errstate(over="ignore", invalid="ignore"):
+            payload, code = _run(args, config)
+    except (inference.ResolutionError, fock.TruncationError, NonFiniteError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 1
     except ConfigError as exc:

@@ -8,7 +8,10 @@ with coefficients e^{-|a|^2/2} a^k / sqrt(k!), and the displacement applied
 to the vacuum.  Its generator a*A+ - conj(a)*A equals -i|a| W S W*, with
 W = diag(e^{ik(arg a + pi/2)}) and the real tridiagonal S = A + A+, so
 displacements use the eigendecomposition of S, which depends only on the
-truncation.  Squared coefficients are the Poisson(|a|^2) weights.
+truncation (scipy.linalg.eigh_tridiagonal, imported only when a displacement
+is applied).  Squared coefficients are the Poisson(|a|^2) weights, which
+come from Loader's saddle-point form of the pmf in numpy; the same kernel
+gives the binomial weights in ``spin``.
 """
 
 from __future__ import annotations
@@ -17,7 +20,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammainc, gammaln
 
 from .linops import adjoint, matrix_exponential, phase_aligned_distance
 from .pv_measure import VectorState
@@ -105,21 +107,100 @@ def wh_multiply(g1: WHGroupElement, g2: WHGroupElement) -> WHGroupElement:
     return WHGroupElement(s=g1.s + g2.s + twist, alpha=g1.alpha + g2.alpha)
 
 
-def poisson_tail(lam: float, dim: int) -> float:
-    """Poisson(lam) mass at or beyond the truncation level ``dim``."""
-    if lam == 0.0:
-        return 0.0
-    return float(gammainc(dim, lam))
+# Loader's saddle-point form of the Poisson and binomial pmfs (C. Loader, "Fast
+# and Accurate Computation of Binomial Probabilities", 2000): a log pmf is a
+# sum of small log-factorial remainders and nonnegative bd0 deviance terms,
+# with no cancellation between large logarithms.  exp() turns the absolute
+# error of the log into a relative error of the pmf, so the kernel runs in
+# extended precision (80-bit on x86-64) and each weight is rounded to double
+# once; where longdouble is double the error grows with |log pmf| instead.
+_EXTENDED = np.longdouble
+_HALF_LOG_2PI = _EXTENDED("0.91893853320467274178032973640561764")
+
+# stirlerr(k) = log(k!) - log(sqrt(2 pi k) (k/e)^k) for k = 1..15, correctly rounded
+# (index 0 is a placeholder)
+_STIRLERR_TABLE = np.array(
+    [
+        0.0, 0.08106146679532726, 0.0413406959554093, 0.02767792568499834,
+        0.020790672103765093, 0.016644691189821193, 0.013876128823070748,
+        0.01189670994589177, 0.010411265261972096, 0.009255462182712733,
+        0.00833056343336287, 0.007573675487951841, 0.00694284010720953,
+        0.006408994188004207, 0.0059513701127588475, 0.005554733551962801,
+    ]
+)
+# Stirling series B_2m / (2m (2m-1)) in powers of 1/k^2; from k = 16 the next term is below 2e-18
+_STIRLING_SERIES = (1 / 12, -1 / 360, 1 / 1260, -1 / 1680, 1 / 1188, -691 / 360360)
 
 
-def _poisson_weight(lam, n):
-    """e^{-lam} lam^n / n!, in log space; shared by the pmf and the posterior."""
-    lam = np.asarray(lam, dtype=float)
-    n = np.asarray(n)
+def _stirlerr(k) -> np.ndarray:
+    """log(k!) - log(sqrt(2 pi k) (k/e)^k) for integers k >= 1.
+
+    Double precision suffices: the values are below 0.082, so their
+    rounding is below 1e-17 in a log pmf.
+    """
+    k = np.asarray(k)
+    inv_square = 1.0 / np.square(k, dtype=float)
+    series = _STIRLING_SERIES[-1]
+    for coefficient in _STIRLING_SERIES[-2::-1]:
+        series = series * inv_square + coefficient
+    last = _STIRLERR_TABLE.size - 1
+    return np.where(k <= last, _STIRLERR_TABLE[np.minimum(k, last)], series / k)
+
+
+def _log_factorial_excess(k) -> np.ndarray:
+    """g(k) = log(k!) - (k log k - k) = stirlerr(k) + log(2 pi k)/2, and g(0) = 0, in extended precision."""
+    k = np.asarray(k)
+    positive = np.maximum(k, 1)
+    excess = _stirlerr(positive) + (_HALF_LOG_2PI + 0.5 * np.log(positive.astype(_EXTENDED)))
+    return np.where(k > 0, excess, 0)
+
+
+# 1/19, 1/17, ..., 1/3 for the series of _bd0, exact to extended precision
+# (as Python floats they would be off by up to 1e-17 relative)
+_ODD_RECIPROCALS = tuple(np.ones((), _EXTENDED) / odd for odd in range(19, 1, -2))
+
+
+def _bd0(x, m) -> np.ndarray:
+    """x log(x/m) + m - x >= 0, the deviance term of the saddle-point form, in extended precision.
+
+    The direct form x log1p((x-m)/m) - (x-m) has an absolute error of a few
+    units of 1e-19 (x-m), negligible below x = 100.  Above, where |v| < 0.1
+    with v = (x-m)/(x+m), the series (x-m)v + 2x sum_j v^(2j+1)/(2j+1)
+    takes over: its terms do not cancel, and nine reach 1e-19.  x = 0
+    gives m, and m = 0 < x gives inf.
+    """
+    x = np.asarray(x, dtype=_EXTENDED)
+    m = np.asarray(m, dtype=_EXTENDED)
+    difference = x - m
     with np.errstate(divide="ignore", invalid="ignore"):
-        log_weight = -lam + n * np.log(lam) - gammaln(n + 1)
-        weight = np.exp(log_weight)
-    return np.where(lam > 0, weight, np.where(n == 0, 1.0, 0.0))
+        result = np.asarray(np.where(x > 0, x * np.log1p(difference / m), 0) - difference)
+    near = (x > 100) & (np.abs(difference) < 0.1 * (x + m))
+    if near.any():
+        x, m, difference = (np.broadcast_to(a, near.shape)[near] for a in (x, m, difference))
+        v = difference / (x + m)
+        v_square = v * v
+        odd_powers = np.zeros_like(v)  # sum_{j>=1} v^(2j) / (2j+1)
+        for reciprocal in _ODD_RECIPROCALS:
+            odd_powers = (odd_powers + reciprocal) * v_square
+        result[near] = difference * v + (x + x) * v * odd_powers
+    return result
+
+
+def _poisson_weight(lam, n) -> np.ndarray:
+    """e^{-lam} lam^n / n! = e^{-g(n) - bd0(n, lam)}; shared by the pmf and the posterior."""
+    return np.exp(-_log_factorial_excess(n) - _bd0(n, lam)).astype(float)
+
+
+def poisson_tail(lam: float, dim: int) -> float:
+    """Poisson(lam) mass at or beyond the truncation level ``dim``, summed upward from ``dim``.
+
+    Terms more than 10 standard deviations (plus 30 counts) from the mean
+    are below 1e-20 of the tail and are left out, which bounds the sum at
+    about 20 sqrt(lam) + 60 terms even when ``dim`` lies below the mean.
+    """
+    reach = 10.0 * math.sqrt(lam) + 30.0
+    first = max(dim, int(lam - reach))
+    return math.fsum(_poisson_weight(lam, np.arange(first, int(max(dim, lam) + reach) + 1)).tolist())
 
 
 def poisson_pmf(alpha: complex, n: int) -> float:
@@ -130,12 +211,8 @@ def poisson_pmf(alpha: complex, n: int) -> float:
 
 
 def coherent_magnitudes(radius, k) -> np.ndarray:
-    """Moduli e^{-r^2/2} r^k / sqrt(k!) at |alpha| = r in log space, broadcasting r against k."""
-    lam = radius * radius
-    with np.errstate(divide="ignore", invalid="ignore"):
-        log_radius = np.where(radius > 0, np.log(np.where(radius > 0, radius, 1.0)), 0.0)
-        magnitude = np.exp(-0.5 * lam + k * log_radius - 0.5 * gammaln(k + 1))
-    return np.where(radius > 0, magnitude, np.asarray(k == 0, dtype=float))
+    """Moduli e^{-r^2/2} r^k / sqrt(k!) = sqrt(Poisson(k; r^2)), broadcasting r against k."""
+    return np.sqrt(_poisson_weight(np.square(np.asarray(radius, dtype=_EXTENDED)), k))
 
 
 def coherent_amplitudes(alpha, dim: int) -> np.ndarray:

@@ -7,7 +7,10 @@ this yields, for an observed basis state, a probability distribution on
 the parameter space.  Marginalizing the azimuthal angle and switching to
 the canonical scalar (lambda = r^2 or p = sin^2(theta/2)) must reproduce
 the Gamma(n+1, 1) and Beta(k+1, n-k+1) posterior densities, which are also
-provided analytically for comparison.
+provided analytically for comparison.  Every rule is built on a numpy
+Gauss-Legendre rule (Halley's iteration on the Legendre recurrence) and the
+weights come from the numpy pmf kernel of ``fock``, so posteriors load no
+scipy; in the package only the ``verify`` checks do (scipy.linalg).
 """
 
 from __future__ import annotations
@@ -17,10 +20,9 @@ from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
-from scipy.special import roots_legendre
 
 from . import fock, spin
-from .pv_measure import VectorState
+from .pv_measure import NonFiniteError, VectorState
 from .spin import SpinRep
 
 __all__ = [
@@ -88,6 +90,57 @@ class QuadratureRule:
         return np.outer(self.principal_weights, self.angle_weights).ravel()
 
 
+def _scaled_legendre_pair(n: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Scaled (P_n(x), P_{n-1}(x)), both times the same factor 2^(n-1) / lead_{n-1}.
+
+    q_j = 2^j P_j / lead_j (lead_j the leading coefficient of P_j) obeys
+    q_{j+1} = 2x q_j - 4j^2/(4j^2-1) q_{j-1}, three in-place operations per
+    degree; then P_n / P_{n-1} = (2n-1)/(2n) q_n / q_{n-1}.
+    """
+    two_x = 2.0 * x
+    previous, current, product = np.ones_like(x), two_x.copy(), np.empty_like(x)
+    for j in range(1, n):
+        np.multiply(two_x, current, out=product)
+        previous *= -4.0 * j * j / (4.0 * j * j - 1.0)
+        previous += product
+        previous, current = current, previous
+    return (2 * n - 1) / (2.0 * n) * current, previous
+
+
+def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes (ascending) and weights on [-1, 1] for n >= 1 nodes.
+
+    The nodes x = cos(theta) with theta in (0, pi/2] start from Tricomi's
+    estimate and take Halley steps in theta; f'' comes from Legendre's
+    equation, f'' = -cot(theta) f' - n(n+1) f, so every step costs one
+    recurrence.  The last step is applied to x itself, and each weight is
+    2/(dP_n/dtheta)^2 at the root, with sin(theta) taken from the x the
+    recurrence saw, so no digits are lost near +-1.  The weights are scaled
+    to sum to 2, and the other half of the rule is the mirror image.
+    """
+    half = (n + 1) // 2
+    k = np.arange(1, half + 1)
+    theta = np.arccos((1.0 - (n - 1) / (8.0 * n**3)) * np.cos((4 * k - 1) * math.pi / (4 * n + 2)))
+    for _ in range(10):  # two passes from n = 3 on, three at n = 2
+        x = np.cos(theta)
+        sin = np.sqrt((1.0 - x) * (1.0 + x))
+        p_n, p_previous = _scaled_legendre_pair(n, x)
+        slope = n * (x * p_n - p_previous) / sin  # dP_n/dtheta, scaled as the terms
+        ratio = p_n / slope
+        bend = x / sin + n * (n + 1.0) * ratio  # -f''/f'
+        step = ratio / (1.0 + 0.5 * ratio * bend)
+        theta = theta - step
+        if np.abs(step).max() < 1e-9:  # Halley's error is cubic: the next step would be below 1e-20
+            break
+    x = x + sin * step
+    weights = 1.0 / (slope * (1.0 + step * bend)) ** 2
+    nodes = np.concatenate([-x, x[::-1][n % 2 :]])
+    if n % 2:
+        nodes[half - 1] = 0.0
+    weights = np.concatenate([weights, weights[::-1][n % 2 :]])
+    return nodes, weights * (2.0 / math.fsum(weights.tolist()))
+
+
 def plane_quadrature(radial_cutoff: float, n_r: int, n_angle: int) -> QuadratureRule:
     """Polar rule for the invariant plane measure (1/pi) r dr dangle.
 
@@ -98,7 +151,7 @@ def plane_quadrature(radial_cutoff: float, n_r: int, n_angle: int) -> Quadrature
         raise ValueError(f"radial cutoff must be positive, got {radial_cutoff!r}")
     if n_r < 2 or n_angle < 2:
         raise ValueError(f"node counts must be at least 2, got n_r={n_r}, n_angle={n_angle}")
-    x, w = roots_legendre(n_r)
+    x, w = _gauss_legendre(n_r)
     r = radial_cutoff * (x + 1.0) / 2.0
     radial_weights = (radial_cutoff / 2.0) * w * r / math.pi
     angles = 2.0 * math.pi * np.arange(n_angle) / n_angle
@@ -126,7 +179,7 @@ def sphere_quadrature(j, n_theta: int, n_gamma: int) -> QuadratureRule:
         raise ValueError(f"need n_theta >= {two_j + 2} for j={two_j / 2}, got {n_theta}")
     if n_gamma < two_j + 1:
         raise ValueError(f"need n_gamma >= {two_j + 1} for j={two_j / 2}, got {n_gamma}")
-    u, w = roots_legendre(n_theta)
+    u, w = _gauss_legendre(n_theta)
     theta = np.arccos(u)[::-1].copy()
     theta_weights = w[::-1] * (two_j + 1.0) / (4.0 * math.pi)
     gammas = 2.0 * math.pi * np.arange(n_gamma) / n_gamma
@@ -287,6 +340,8 @@ class InferredDistribution:
         density = np.asarray(self.density, dtype=float)
         if grid.ndim != 1 or grid.shape != density.shape:
             raise ValueError("grid and density must be matching 1-d arrays")
+        if not (np.isfinite(grid).all() and np.isfinite(density).all() and math.isfinite(self.total_mass)):
+            raise NonFiniteError(f"{self.source} {self.parameter} distribution has non-finite grid, density or mass")
         if (np.diff(grid) <= 0).any():
             raise ValueError("grid must be strictly increasing")
         if (density < 0).any():
@@ -294,7 +349,7 @@ class InferredDistribution:
         if self.source not in ("analytic", "pov-quadrature"):
             raise ValueError(f"unknown source {self.source!r}")
         mass_tol = _ANALYTIC_MASS_TOL if self.source == "analytic" else _PLANE_MASS_TOL
-        if abs(self.total_mass - 1.0) > mass_tol:
+        if not abs(self.total_mass - 1.0) <= mass_tol:
             raise ValueError(f"total mass {self.total_mass!r} deviates from 1 beyond {mass_tol:.1e}")
         object.__setattr__(self, "grid", grid)
         object.__setattr__(self, "density", density)
@@ -339,7 +394,7 @@ def inferred_density_binomial(n: int, k: int, p) -> np.ndarray | float:
 
 
 def _gauss_legendre_mass(density, low: float, high: float, nodes: int) -> float:
-    x, w = roots_legendre(nodes)
+    x, w = _gauss_legendre(nodes)
     t = low + (high - low) * (x + 1.0) / 2.0
     return float(np.sum(w * density(t)) * (high - low) / 2.0)
 
@@ -369,7 +424,7 @@ def analytic_binomial_posterior(n: int, k: int, grid: np.ndarray | None = None) 
         lambda p: inferred_density_binomial(n, k, p),
         0.0,
         1.0,
-        nodes=max(64, n + 2),
+        nodes=n // 2 + 1,  # ceil((n+1)/2) nodes integrate the degree-n density exactly
     )
     return InferredDistribution(
         parameter="p",
@@ -420,7 +475,9 @@ def infer_via_pov(
         parameter = "p"
         mass_tol = _SPHERE_MASS_TOL
 
-    if abs(total_mass - 1.0) > mass_tol:
+    if not math.isfinite(total_mass):
+        raise NonFiniteError(f"non-finite quadrature mass {total_mass!r}: the family's amplitudes overflowed")
+    if not abs(total_mass - 1.0) <= mass_tol:
         raise ResolutionError(
             f"quadrature mass {total_mass!r} deviates from 1 beyond {mass_tol:.1e}; "
             "the rule does not resolve this family"

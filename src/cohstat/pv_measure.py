@@ -19,6 +19,7 @@ from .linops import SpectralDecomposition, hermitian_eigendecomposition
 
 __all__ = [
     "FinitePVMeasure",
+    "NonFiniteError",
     "Observable",
     "StateOperator",
     "VectorState",
@@ -34,6 +35,10 @@ _UNIT_NORM_TOL = 1e-12
 _PROJECTOR_TOL = 1e-10
 _OUTCOME_MATCH_TOL = 1e-9
 _NEGATIVE_PROBABILITY_TOL = 1e-10
+
+
+class NonFiniteError(ValueError):
+    """A computed state or distribution holds NaN or infinite values."""
 
 
 @dataclass(frozen=True)
@@ -52,7 +57,7 @@ class VectorState:
         if vec.ndim != 1 or vec.shape[0] < 1:
             raise ValueError(f"state must be a nonempty vector, got shape {vec.shape}")
         if not np.isfinite(vec).all():
-            raise ValueError("state has non-finite entries")
+            raise NonFiniteError("state has non-finite entries")
         norm = float(np.linalg.norm(vec))
         if abs(norm - 1.0) > _UNIT_NORM_TOL:
             raise ValueError(f"state is not unit norm (norm {norm!r})")

@@ -5,7 +5,8 @@ with the basis ordered m = -j..j (lowest weight first), so the reference
 vector phi_{-j} is the first column and k = j + m indexes outcomes 0..2j.
 Coherent states on the sphere come from a closed-form coefficient formula
 and from the rotation exponential applied to phi_{-j}; their squared
-coefficients are binomial(2j, sin^2(theta/2)) weights.  Half-integers are
+coefficients are binomial(2j, sin^2(theta/2)) weights, which come from
+the saddle-point pmf kernel of ``fock`` in numpy.  Half-integers are
 carried as exact doubled integers to avoid floating-point equality on j
 and m.
 """
@@ -16,8 +17,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
 
+from .fock import _EXTENDED, _bd0, _log_factorial_excess
 from .linops import adjoint, matrix_exponential, phase_aligned_distance
 from .pv_measure import VectorState
 
@@ -138,11 +139,15 @@ def coset_element(point: SpherePoint) -> np.ndarray:
 
 
 def _sqrt_binomials(two_j: int) -> np.ndarray:
-    """sqrt(C(2j, k)) for k = 0..2j; exact integers below the overflow regime."""
+    """sqrt(C(2j, k)) for k = 0..2j; exact integers up to 2j = 60, then sqrt(2^2j b(k; 2j, 1/2)).
+
+    Past sqrt C(2j, j) = 1.8e308 (near 2j = 2050) the central entries are inf.
+    """
     k = np.arange(two_j + 1)
     if two_j <= _EXACT_BINOMIAL_LIMIT:
         return np.sqrt(np.array([math.comb(two_j, int(i)) for i in k], dtype=float))
-    return np.exp(0.5 * (gammaln(two_j + 1) - gammaln(k + 1) - gammaln(two_j - k + 1)))
+    with np.errstate(over="ignore"):
+        return np.sqrt(np.ldexp(_binomial_terms(two_j, k, 0.5), two_j)).astype(float)
 
 
 def coherent_magnitudes(rep: SpinRep, theta, k) -> np.ndarray:
@@ -235,24 +240,22 @@ def _two_ell_index(rep: SpinRep, ell) -> int:
     return (rep.two_j + two_ell) // 2
 
 
-def _binomial_weight(n: int, k: int, p) -> np.ndarray:
-    """C(n,k) p^k (1-p)^{n-k}, elementwise over p; shared with the posterior."""
-    p = np.asarray(p, dtype=float)
-    if n <= _EXACT_BINOMIAL_LIMIT:
-        return math.comb(n, k) * p**k * (1.0 - p) ** (n - k)
-    log_comb = gammaln(n + 1) - gammaln(k + 1) - gammaln(n - k + 1)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        log_weight = log_comb + k * np.log(p) + (n - k) * np.log1p(-p)
-        weight = np.exp(log_weight)
-    if k == 0:
-        weight = np.where(p == 0.0, 1.0, weight)
-    else:
-        weight = np.where(p == 0.0, 0.0, weight)
-    if k == n:
-        weight = np.where(p == 1.0, 1.0, weight)
-    else:
-        weight = np.where(p == 1.0, 0.0, weight)
-    return weight
+def _binomial_terms(n: int, k, p) -> np.ndarray:
+    """C(n,k) p^k (1-p)^{n-k} by the saddle-point form, in extended precision, broadcasting k against p.
+
+    With g(k) = log(k!) - (k log k - k), the log weight is
+    g(n) - g(k) - g(n-k) - bd0(k, np) - bd0(n-k, nq); as g(0) = 0 and
+    bd0(0, m) = m, this gives q^n at k = 0 and p^n at k = n.
+    """
+    p = np.asarray(p, dtype=_EXTENDED)
+    k = np.asarray(k)
+    g_n, g_k, g_rest = _log_factorial_excess(np.stack([np.full_like(k, n), k, n - k]))
+    return np.exp(g_n - g_k - g_rest - _bd0(k, n * p) - _bd0(n - k, n * (1 - p)))
+
+
+def _binomial_weight(n: int, k, p) -> np.ndarray:
+    """C(n,k) p^k (1-p)^{n-k}, broadcasting k against p; shared with the posterior."""
+    return _binomial_terms(n, k, p).astype(float)
 
 
 def binomial_pmf(rep: SpinRep, point: SpherePoint, ell) -> float:

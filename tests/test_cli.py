@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from scipy.stats import beta
 
 import cohstat
-from cohstat import cli, fock
+from cohstat import cli, fock, spin
 from cohstat.cli import ConfigError, RunConfig, load_config, main
 
 
@@ -139,6 +139,23 @@ class TestFamilyCommand:
         assert err.startswith("numerical failure:") and "truncation 80" in err
         assert err.count("\n") == 1
 
+    def test_binomial_column_matches_per_row_pmf(self, tmp_path):
+        for n, p in [(0, 0.3), (1, 0.5), (20, 0.3), (60, 0.9), (61, 0.07), (300, 0.41)]:
+            code, payload = run_json(tmp_path, ["family", "binomial", "--n", str(n), "--p", repr(p)])
+            assert code == 0
+            rep = spin.build_spin_rep(n / 2.0)
+            point = spin.sphere_point_for_probability(p)
+            assert [row["pmf"] for row in payload["rows"]] == [
+                spin.binomial_pmf(rep, point, k - rep.j) for k in range(n + 1)
+            ]
+
+    def test_overflowed_state_is_a_numerical_failure(self, capsys):
+        # sqrt C(2100, 1050) overflows a double, so the closed-form state is not finite
+        assert main(["family", "binomial", "--n", "2100", "--p", "0.3"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure:") and "non-finite" in err
+        assert err.count("\n") == 1
+
 
 class TestInferCommand:
     def test_poisson_vacuum(self, tmp_path):
@@ -170,6 +187,15 @@ class TestInferCommand:
         assert main(["infer", "poisson", "--observed", "-1"]) == 2
         assert main(["infer", "binomial", "--n", "2", "--k", "3"]) == 2
         capsys.readouterr()
+
+    @pytest.mark.parametrize("n, k", [(3000, 700), (3000, 1500), (5000, 2500)])
+    def test_overflowed_amplitudes_are_a_numerical_failure(self, tmp_path, capsys, n, k):
+        out = tmp_path / "out.json"
+        assert main(["infer", "binomial", "--n", str(n), "--k", str(k), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure:") and "non-finite" in err
+        assert err.count("\n") == 1
+        assert not out.exists()
 
     def test_unresolved_quadrature_exits_1(self, tmp_path, capsys):
         path = tmp_path / "config.json"
@@ -370,9 +396,29 @@ class TestJsonRenderer:
 
 
 class TestImportPath:
-    def test_cli_import_leaves_scipy_linalg_unloaded(self):
-        # family and infer never exponentiate, so they should not pay for scipy.linalg
+    def _fresh(self, code: str) -> str:
         env = dict(os.environ, PYTHONPATH=str(Path(cohstat.__file__).parent.parent))
-        code = "import sys, cohstat.cli; print('scipy.linalg' in sys.modules)"
         result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-        assert result.stdout.strip() == "False"
+        return result.stdout.strip()
+
+    def test_cli_import_loads_no_scipy(self):
+        # family and infer are numpy only; verify imports scipy.linalg when it runs
+        code = "import sys, cohstat.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        assert self._fresh(code) == "[]"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            "family poisson --lambda 1000",
+            "family binomial --n 200 --p 0.3",
+            "infer poisson --observed 200",
+            "infer binomial --n 200 --k 77",
+        ],
+    )
+    def test_family_and_infer_runs_load_no_scipy(self, argv):
+        code = (
+            "import os, sys, cohstat.cli\n"
+            f"assert cohstat.cli.main({argv.split()!r} + ['--out', os.devnull]) == 0\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        )
+        assert self._fresh(code) == "[]"

@@ -29,7 +29,7 @@ from cohstat.inference import (
     resolution_of_identity_check,
     sphere_quadrature,
 )
-from cohstat.pv_measure import VectorState
+from cohstat.pv_measure import NonFiniteError, VectorState
 from cohstat.spin import binomial_pmf, build_spin_rep, sphere_point_for_probability
 
 from helpers import random_unit_vector
@@ -358,6 +358,29 @@ class TestInferredDistributionValidation:
     def test_rejects_unknown_source(self):
         with pytest.raises(ValueError, match="source"):
             InferredDistribution("p", np.array([0.0, 1.0]), np.array([1.0, 1.0]), 1.0, "guesswork")
+
+    @pytest.mark.parametrize(
+        "grid, density, mass",
+        [
+            ([0.0, math.nan], [1.0, 1.0], 1.0),
+            ([0.0, 1.0], [1.0, math.inf], 1.0),
+            ([0.0, 1.0], [math.nan, 1.0], 1.0),
+            ([0.0, 1.0], [1.0, 1.0], math.nan),
+            ([0.0, 1.0], [1.0, 1.0], math.inf),
+        ],
+    )
+    def test_rejects_non_finite_values(self, grid, density, mass):
+        for source in ("analytic", "pov-quadrature"):
+            with pytest.raises(NonFiniteError, match="non-finite"):
+                InferredDistribution("p", np.array(grid), np.array(density), mass, source)
+
+    def test_pov_route_reports_overflowed_amplitudes(self):
+        # sqrt C(3000, 700) overflows, so the joint density holds inf * 0 = NaN
+        rep = build_spin_rep(1500)
+        rule = sphere_quadrature(rep.j, rep.two_j + 2, rep.two_j + 1)
+        with pytest.raises(NonFiniteError, match="non-finite quadrature mass"):
+            with np.errstate(over="ignore", invalid="ignore"):
+                infer_via_pov(700, SpinCoherentFamily(rep), rule)
 
 
 def brute_force_interval(dist, mass):
