@@ -5,6 +5,11 @@ to its closed-form pmf, ``infer`` tabulates the POV-quadrature posterior
 next to the analytic Gamma/Beta density, and ``verify`` runs the named
 residual checks.  Output is a JSON document (schema_version, command,
 config, rows, footer) or a CSV table with ``# key=value`` footer lines.
+Each command builds ``rows`` as columns, a dict from row key to an
+equal-length list; the JSON document is exactly ``json.dumps(..., indent=2)``
+of the payload with ``rows`` in record form, one object per row.
+Config values of the wrong type, out of range or not finite are a
+configuration error naming the key.
 Exit codes: 0 success or all checks passing, 1 verification failure or
 numerical failure (a quadrature rule that does not resolve the family, a
 truncation too small for the displacement, a state or distribution that
@@ -15,11 +20,11 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import math
 import sys
 from dataclasses import dataclass
-from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
@@ -82,7 +87,8 @@ def load_config(args: argparse.Namespace) -> RunConfig:
     """Merge documented defaults, config-file values, and command flags.
 
     Flags override file values, file values override defaults.  Unknown
-    file keys raise ConfigError naming the key.
+    file keys and values of the wrong type or range raise ConfigError
+    naming the key.
     """
     settings: dict = {}
     config_path = getattr(args, "config", None)
@@ -102,7 +108,10 @@ def load_config(args: argparse.Namespace) -> RunConfig:
         if value is not None:
             settings[key] = value
     if "mass_levels" in settings:
-        settings["mass_levels"] = tuple(float(m) for m in settings["mass_levels"])
+        levels = settings["mass_levels"]
+        if not isinstance(levels, list) or not all(map(_is_number, levels)):
+            raise ConfigError(f"mass_levels must be a list of numbers, got {levels!r}")
+        settings["mass_levels"] = tuple(levels)
     try:
         config = RunConfig(**settings)
     except TypeError as exc:
@@ -111,13 +120,26 @@ def load_config(args: argparse.Namespace) -> RunConfig:
     return config
 
 
+_INT_KEYS = ("trunc", "n_r", "n_angle", "n_theta", "n_gamma", "lambda_points", "p_points", "seed")
+_OPTIONAL_KEYS = ("trunc", "tol", "n_theta", "n_gamma")
+
+
+def _is_number(value, kinds=(int, float)) -> bool:
+    return isinstance(value, kinds) and not isinstance(value, bool)
+
+
 def _validate_config(config: RunConfig) -> None:
+    for name in _INT_KEYS:
+        value = getattr(config, name)
+        if not (_is_number(value, int) or value is None and name in _OPTIONAL_KEYS):
+            raise ConfigError(f"{name} must be an integer, got {value!r}")
+    for name in ("tol", "tail_tol"):
+        value = getattr(config, name)
+        # NaN fails every comparison, so it is refused here too
+        if not (_is_number(value) and 0 < value < math.inf or value is None and name in _OPTIONAL_KEYS):
+            raise ConfigError(f"{name} must be a finite positive number, got {value!r}")
     if config.trunc is not None and config.trunc < 2:
         raise ConfigError(f"trunc must be at least 2, got {config.trunc!r}")
-    if config.tol is not None and config.tol <= 0:
-        raise ConfigError(f"tol must be positive, got {config.tol!r}")
-    if config.tail_tol <= 0:
-        raise ConfigError(f"tail_tol must be positive, got {config.tail_tol!r}")
     for name in ("n_r", "n_angle", "lambda_points", "p_points"):
         if getattr(config, name) < 2:
             raise ConfigError(f"{name} must be at least 2, got {getattr(config, name)!r}")
@@ -134,7 +156,7 @@ def _validate_config(config: RunConfig) -> None:
         raise ConfigError(f"seed must be nonnegative, got {config.seed!r}")
 
 
-def _payload(command: str, config: RunConfig, rows: list[dict], footer: dict) -> dict:
+def _payload(command: str, config: RunConfig, rows: dict[str, list], footer: dict) -> dict:
     return {
         "schema_version": SCHEMA_VERSION,
         "command": command,
@@ -163,10 +185,7 @@ def _family_poisson(config: RunConfig, lam: float) -> dict:
     stop = int(reached[0]) + 1 if reached.size else trunc
     pmf = pmf[:stop]
     coherent_probs = (np.abs(state.vector.vector) ** 2)[:stop]
-    rows = [
-        {"outcome": n, "probability": prob, "pmf": q}
-        for n, prob, q in zip(range(stop), coherent_probs.tolist(), pmf.tolist())
-    ]
+    rows = {"outcome": list(range(stop)), "probability": coherent_probs.tolist(), "pmf": pmf.tolist()}
     footer = {
         "max_abs_diff": float(np.abs(coherent_probs - pmf).max()),
         "trunc": trunc,
@@ -188,10 +207,7 @@ def _family_binomial(config: RunConfig, n: int, p: float) -> dict:
     coherent_probs = np.abs(state.vector.vector) ** 2
     # every outcome's spin.binomial_pmf(rep, point, ell) at once, at the p it sees
     pmf = spin._binomial_weight(n, np.arange(n + 1), math.sin(point.theta / 2.0) ** 2)
-    rows = [
-        {"outcome": k, "probability": prob, "pmf": q}
-        for k, (prob, q) in enumerate(zip(coherent_probs.tolist(), pmf.tolist()))
-    ]
+    rows = {"outcome": list(range(n + 1)), "probability": coherent_probs.tolist(), "pmf": pmf.tolist()}
     footer = {"max_abs_diff": float(np.abs(coherent_probs - pmf).max()), "theta": point.theta}
     return _payload("family", config, rows, footer)
 
@@ -202,11 +218,12 @@ def _family_binomial(config: RunConfig, n: int, p: float) -> dict:
 
 def _infer_payload(config: RunConfig, pov, analytic) -> dict:
     absdiff = np.abs(pov.density - analytic.density)
-    columns = zip(pov.grid.tolist(), pov.density.tolist(), analytic.density.tolist(), absdiff.tolist())
-    rows = [
-        {"parameter": x, "density_pov": d_pov, "density_analytic": d_ana, "absdiff": diff}
-        for x, d_pov, d_ana, diff in columns
-    ]
+    rows = {
+        "parameter": pov.grid.tolist(),
+        "density_pov": pov.density.tolist(),
+        "density_analytic": analytic.density.tolist(),
+        "absdiff": absdiff.tolist(),
+    }
     intervals = [(level, *inference.credible_interval(pov, level)) for level in config.mass_levels]
     footer = {
         "total_mass_pov": pov.total_mass,
@@ -405,11 +422,10 @@ def _cmd_verify(config: RunConfig, check: str, alpha: complex) -> tuple[dict, in
         names = (check,)
     else:
         raise UsageError(f"unknown check {check!r}; choose from {('all',) + VERIFY_CHECKS}")
-    rows = []
-    for name in names:
-        rows.extend(runners[name]())
-    all_pass = all(row["status"] == "pass" for row in rows)
-    footer = {"all_pass": all_pass, "n_checks": len(rows)}
+    records = [record for name in names for record in runners[name]()]
+    all_pass = all(record["status"] == "pass" for record in records)
+    footer = {"all_pass": all_pass, "n_checks": len(records)}
+    rows = {key: [record[key] for record in records] for key in records[0]}
     return _payload("verify", config, rows, footer), 0 if all_pass else 1
 
 
@@ -426,11 +442,9 @@ def _fmt_cell(value) -> str:
 
 
 def _render_csv(payload: dict) -> str:
-    rows = payload["rows"]
-    columns = list(rows[0].keys()) if rows else []
+    columns = payload["rows"]
     lines = [",".join(columns)]
-    for row in rows:
-        lines.append(",".join(_fmt_cell(row[c]) for c in columns))
+    lines.extend(",".join(map(_fmt_cell, row)) for row in zip(*columns.values(), strict=True))
     for key, value in payload["footer"].items():
         if key == "credible_intervals":
             for record in value:
@@ -461,33 +475,32 @@ def _encode_column(values: list) -> list[str]:
     """
     kinds = set(map(type, values))
     if all(issubclass(kind, _SCALARS) for kind in kinds):
-        return json.dumps(values)[1:-1].split(", ")
+        return json.dumps(values)[1:-1].split(", ") if values else []
     if all(issubclass(kind, (*_SCALARS, str)) for kind in kinds):
         return list(map(json.dumps, values))
     raise ValueError(f"table cells must be numbers, bools, None or strings, got {kinds}")
 
 
-def _render_rows(rows: list[dict]) -> str:
-    """``json.dumps(rows, indent=2)`` one level deep, written column by column."""
-    if not rows:
-        return "[]"
-    keys = list(rows[0])
-    if any(map(keys.__ne__, map(list, rows))):
-        raise ValueError("table rows must share their keys in one order")
-    if not keys:
-        return "[\n" + ",\n".join(["    {}"] * len(rows)) + "\n  ]"
-    fields = [f"      {_json_key(key).replace('%', '%%')}: %s" for key in keys]
+def _render_rows(columns: dict[str, list]) -> str:
+    """``json.dumps`` of the table's records with ``indent=2``, one level deep.
+
+    The records are ``[dict(zip(columns, row)) for row in zip(*columns.values())]``;
+    columns of unequal length raise ValueError.
+    """
+    fields = [f"      {_json_key(key).replace('%', '%%')}: %s" for key in columns]
     template = "    {\n" + ",\n".join(fields) + "\n    }"
-    columns = [_encode_column(list(map(itemgetter(key), rows))) for key in keys]
-    return "[\n" + ",\n".join(map(template.__mod__, zip(*columns))) + "\n  ]"
+    rows = zip(*map(_encode_column, columns.values()), strict=True)
+    body = ",\n".join(map(template.__mod__, rows))
+    return "[\n" + body + "\n  ]" if body else "[]"
 
 
 def _render_json(payload: dict) -> str:
-    """Exactly ``json.dumps(payload, indent=2)``, with ``rows`` written from whole columns.
+    """Exactly ``json.dumps(..., indent=2)`` of the payload with its ``rows`` columns as records.
 
-    Every other top-level value goes through ``json.dumps(value, indent=2)``
-    with each newline re-indented one level; JSON escapes newlines inside
-    strings, so only structural newlines move.
+    ``rows`` is written column by column by ``_render_rows``; every other
+    top-level value goes through ``json.dumps(value, indent=2)`` with each
+    newline re-indented one level; JSON escapes newlines inside strings, so
+    only structural newlines move.
     """
     items = [
         f"  {_json_key(key)}: "
@@ -512,6 +525,7 @@ def _emit(payload: dict, config: RunConfig) -> None:
 # argument parsing
 
 
+@functools.cache  # built on the first call, not at import; parse_args leaves it unchanged
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="cohstat",

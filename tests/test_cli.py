@@ -26,6 +26,22 @@ def run_json(tmp_path, args, name="out.json"):
     return code, json.loads(out.read_text())
 
 
+INFER_3 = ["infer", "poisson", "--observed", "3"]
+
+
+def as_records(payload):
+    """The payload as written: its ``rows`` columns turned into one dict per row."""
+    columns = payload["rows"]
+    return dict(payload, rows=[dict(zip(columns, row)) for row in zip(*columns.values())])
+
+
+def read_back(text, like):
+    """A CSV cell read back as the type of its JSON value; floats round-trip at 17 digits."""
+    if isinstance(like, bool):
+        return {"true": True, "false": False}[text]
+    return type(like)(text)
+
+
 def namespace(**kwargs):
     defaults = {key: None for key in ("trunc", "tol", "format", "seed", "out", "config")}
     defaults.update(kwargs)
@@ -70,6 +86,39 @@ class TestLoadConfig:
         code = main(["family", "poisson", "--lambda", "1", "--config", str(path)])
         assert code == 2
         assert "truncK" in capsys.readouterr().err
+
+    # (argv, config file text or None, extra flags, key named in the error, exit code of argv alone)
+    @pytest.mark.parametrize(
+        "argv, config, flags, key, default_code",
+        [
+            (INFER_3, '{"n_r": "abc"}', [], "n_r", 0),
+            (INFER_3, '{"seed": "a"}', [], "seed", 0),
+            (INFER_3, '{"tol": "x"}', [], "tol", 0),
+            (INFER_3, '{"mass_levels": 0.5}', [], "mass_levels", 0),
+            (INFER_3, '{"mass_levels": ["0.5"]}', [], "mass_levels", 0),
+            (INFER_3, '{"n_r": 20.5}', [], "n_r", 0),
+            (INFER_3, '{"n_r": null}', [], "n_r", 0),
+            (INFER_3, '{"lambda_points": 2.5}', [], "lambda_points", 0),
+            (INFER_3, '{"trunc": true}', [], "trunc", 0),
+            (INFER_3, '{"tol": Infinity}', [], "tol", 0),
+            (INFER_3, '{"format": 1}', [], "format", 0),
+            # NaN would switch off the truncation guard, which refuses these flags by default
+            (["family", "poisson", "--lambda", "50", "--trunc", "64"], '{"tail_tol": NaN}', [], "tail_tol", 1),
+            # NaN would fail every check, a bad argument reported as a verification failure
+            (["verify", "--check", "example12"], None, ["--tol", "nan"], "tol", 0),
+        ],
+    )
+    def test_bad_value_exits_2(self, tmp_path, capsys, argv, config, flags, key, default_code):
+        assert main([*argv, "--out", os.devnull]) == default_code
+        if config is not None:
+            path = tmp_path / "config.json"
+            path.write_text(config)
+            flags = [*flags, "--config", str(path)]
+        capsys.readouterr()
+        assert main([*argv, *flags, "--out", os.devnull]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and key in err
+        assert err.count("\n") == 1
 
 
 class TestFamilyCommand:
@@ -297,6 +346,66 @@ class TestOutputFormats:
         assert lines[1].startswith("0,0.36787944117144233")
         assert any(line.startswith("# max_abs_diff=") for line in lines)
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["family", "binomial", "--n", "20", "--p", "0.3"],
+            ["infer", "poisson", "--observed", "3"],
+            ["verify", "--check", "example12"],
+        ],
+        ids=["family", "infer", "verify"],
+    )
+    def test_csv_reads_back_as_json(self, tmp_path, argv):
+        code, payload = run_json(tmp_path, argv)
+        out = tmp_path / "table.csv"
+        assert main([*argv, "--format", "csv", "--out", str(out)]) == code
+        lines = out.read_text().splitlines()
+        header, *body = [line.split(",") for line in lines if not line.startswith("# ")]
+        rows = payload["rows"]
+        assert header == list(rows[0])
+        assert len(body) == len(rows)
+        assert all(len(cells) == len(header) for cells in body)
+        read = [{key: read_back(cell, row[key]) for key, cell in zip(header, cells)} for cells, row in zip(body, rows)]
+        assert read == rows
+
+        footer = {}
+        for line in lines:
+            if line.startswith("# credible_interval "):
+                record = dict(field.split("=") for field in line.split()[2:])
+                footer.setdefault("credible_intervals", []).append(record)
+            elif line.startswith("# "):
+                key, text = line[2:].split("=", 1)
+                footer[key] = text
+        assert list(footer) == list(payload["footer"])
+        for key, value in payload["footer"].items():
+            if key == "credible_intervals":
+                assert [{k: float(v) for k, v in record.items()} for record in footer[key]] == value
+            else:
+                assert read_back(footer[key], value) == value
+
+    def test_cached_parser_matches_a_fresh_one(self, monkeypatch, capsys):
+        # each flag run is followed by the same command without it, so a value
+        # left behind in the shared parser would show in the second output
+        family = ["family", "poisson", "--lambda", "4"]
+        bch = ["verify", "--check", "bch"]
+        sequence = [
+            [*family, "--trunc", "70"],
+            family,
+            [*bch, "--alpha=2+0j"],
+            bch,
+            [*family, "--format", "csv"],
+            family,
+        ]
+
+        def run_all():
+            return [(main(argv), capsys.readouterr()) for argv in sequence]
+
+        assert cli._build_parser() is cli._build_parser()
+        cached = run_all()
+        monkeypatch.setattr(cli, "_build_parser", cli._build_parser.__wrapped__)
+        assert run_all() == cached
+        assert json.loads(cached[1][1].out)["config"]["trunc"] is None
+
     def test_json_runs_are_byte_identical(self, tmp_path):
         first = tmp_path / "a.json"
         second = tmp_path / "b.json"
@@ -324,7 +433,7 @@ class TestOutputFormats:
         render = cli._render_json
         monkeypatch.setattr(cli, "_render_json", lambda payload: payloads.append(payload) or render(payload))
         assert main(argv) == 0
-        assert capsys.readouterr().out == json.dumps(payloads[0], indent=2) + "\n"
+        assert capsys.readouterr().out == json.dumps(as_records(payloads[0]), indent=2) + "\n"
 
     def test_config_echoed(self, tmp_path):
         code, payload = run_json(tmp_path, ["family", "poisson", "--lambda", "1", "--trunc", "70"])
@@ -351,8 +460,8 @@ json_values = st.recursive(
 @st.composite
 def payloads(draw):
     keys = draw(st.lists(texts, unique=True, max_size=5))
-    cells = [draw(column_cells) for _ in keys]
-    rows = [{key: draw(cell) for key, cell in zip(keys, cells)} for _ in range(draw(st.integers(0, 6)))]
+    length = draw(st.integers(0, 6))
+    rows = {key: draw(st.lists(draw(column_cells), min_size=length, max_size=length)) for key in keys}
     items = list(draw(st.dictionaries(texts.filter(lambda key: key != "rows"), json_values, max_size=4)).items())
     items.insert(draw(st.integers(0, len(items))), ("rows", rows))
     return dict(items)
@@ -362,32 +471,32 @@ class TestJsonRenderer:
     @settings(max_examples=300, deadline=None)
     @given(payloads())
     def test_equals_indented_json_dumps(self, payload):
-        assert cli._render_json(payload) == json.dumps(payload, indent=2)
+        assert cli._render_json(payload) == json.dumps(as_records(payload), indent=2)
 
     @pytest.mark.parametrize(
         "rows",
         [
-            [],
-            [{}, {}],
-            [{"x": value} for value in SPECIAL_FLOATS],
-            [{"text": text, "n": i} for i, text in enumerate(TRICKY_TEXT)],
-            [{"mixed": 1.5}, {"mixed": ", "}, {"mixed": None}, {"mixed": True}],
-            [{"wide": np.float64(0.1), "int": 2**70}],
+            {},
+            {"a": [], "b": []},
+            {"x": SPECIAL_FLOATS},
+            {"text": TRICKY_TEXT, "n": list(range(len(TRICKY_TEXT)))},
+            {"mixed": [1.5, ", ", None, True]},
+            {"wide": [np.float64(0.1)], "int": [2**70]},
         ],
     )
     def test_edge_rows(self, rows):
         payload = {"schema_version": 1, "rows": rows, "footer": {"note": "a\nb", "levels": [0.5, 0.9]}}
-        assert cli._render_json(payload) == json.dumps(payload, indent=2)
+        assert cli._render_json(payload) == json.dumps(as_records(payload), indent=2)
 
     @pytest.mark.parametrize(
         "rows",
         [
-            [{"a": 1, "b": 2}, {"b": 2, "a": 1}],
-            [{"a": 1}, {"a": 1, "b": 2}],
-            [{1: 0.5}],
-            [{"a": [1.0]}],
-            [{"a": {"b": 1}}],
-            [{"a": np.float32(0.5)}],
+            {"a": [1, 1], "b": [2]},
+            {"a": [], "b": [2]},
+            {1: [0.5]},
+            {"a": [[1.0]]},
+            {"a": [{"b": 1}]},
+            {"a": [np.float32(0.5)]},
         ],
     )
     def test_refuses_rows_it_cannot_write_exactly(self, rows):
