@@ -40,7 +40,7 @@ def poisson_case(n, n_r=200, n_angle=16):
 
 def binomial_case(n, k):
     rep = build_spin_rep(n / 2.0)
-    rule = sphere_quadrature(rep.j, rep.two_j + 2, 2 * rep.two_j + 1)
+    rule = sphere_quadrature(rep.j)
     pov = infer_via_pov(k, SpinCoherentFamily(rep), rule)
     analytic = analytic_binomial_posterior(n, k, pov.grid)
     return pov, analytic

@@ -38,6 +38,11 @@ SCHEMA_VERSION = 1
 
 _ROW_CUMULATIVE_STOP = 1e-12
 
+# Angle nodes of both plane rules: 65 = 2 * 32 + 1 covers every lag of the identity
+# check's 32-element block (m uniform nodes alias lag m onto lag 0); `infer poisson`
+# reads only the weight sum, 2 pi at any node count.
+_PLANE_ANGLE_NODES = 65
+
 VERIFY_CHECKS = ("ladder", "bch", "gauss", "identity", "translation", "example12")
 
 
@@ -61,9 +66,6 @@ class RunConfig:
     tol: float | None = None
     tail_tol: float = 1e-12
     n_r: int = 200
-    n_angle: int = 65
-    n_theta: int | None = None
-    n_gamma: int | None = None
     lambda_points: int = 2001
     p_points: int = 1001
     mass_levels: tuple[float, ...] = (0.5, 0.9, 0.95)
@@ -120,8 +122,8 @@ def load_config(args: argparse.Namespace) -> RunConfig:
     return config
 
 
-_INT_KEYS = ("trunc", "n_r", "n_angle", "n_theta", "n_gamma", "lambda_points", "p_points", "seed")
-_OPTIONAL_KEYS = ("trunc", "tol", "n_theta", "n_gamma")
+_INT_KEYS = ("trunc", "n_r", "lambda_points", "p_points", "seed")
+_OPTIONAL_KEYS = ("trunc", "tol")
 
 
 def _is_number(value, kinds=(int, float)) -> bool:
@@ -140,13 +142,9 @@ def _validate_config(config: RunConfig) -> None:
             raise ConfigError(f"{name} must be a finite positive number, got {value!r}")
     if config.trunc is not None and config.trunc < 2:
         raise ConfigError(f"trunc must be at least 2, got {config.trunc!r}")
-    for name in ("n_r", "n_angle", "lambda_points", "p_points"):
+    for name in ("n_r", "lambda_points", "p_points"):
         if getattr(config, name) < 2:
             raise ConfigError(f"{name} must be at least 2, got {getattr(config, name)!r}")
-    for name in ("n_theta", "n_gamma"):
-        value = getattr(config, name)
-        if value is not None and value < 1:
-            raise ConfigError(f"{name} must be positive, got {value!r}")
     for level in config.mass_levels:
         if not 0.0 < level < 1.0:
             raise ConfigError(f"mass levels must lie strictly between 0 and 1, got {level!r}")
@@ -197,8 +195,8 @@ def _family_poisson(config: RunConfig, lam: float) -> dict:
 def _family_binomial(config: RunConfig, n: int, p: float) -> dict:
     if n is None or p is None:
         raise UsageError("binomial family requires --n and --p")
-    if n < 0:
-        raise UsageError(f"n must be nonnegative, got {n!r}")
+    if not 0 <= n < 2**63:  # counts index numpy int64 arrays
+        raise UsageError(f"n must lie in [0, 2**63), got {n!r}")
     if not 0.0 <= p < 1.0:
         raise UsageError(f"p must lie in [0, 1), got {p!r}")
     rep = spin.build_spin_rep(n / 2.0)
@@ -237,11 +235,11 @@ def _infer_payload(config: RunConfig, pov, analytic) -> dict:
 def _infer_poisson(config: RunConfig, observed: int) -> dict:
     if observed is None:
         raise UsageError("poisson inference requires --observed")
-    if observed < 0:
-        raise UsageError(f"observed count must be nonnegative, got {observed!r}")
+    if not 0 <= observed < 2**63:
+        raise UsageError(f"observed count must lie in [0, 2**63), got {observed!r}")
     grid = inference.default_lambda_grid(observed, config.lambda_points)
     rule = inference.plane_quadrature(
-        inference.default_radial_cutoff(float(grid[-1])), config.n_r, config.n_angle
+        inference.default_radial_cutoff(float(grid[-1])), config.n_r, _PLANE_ANGLE_NODES
     )
     dim = config.trunc if config.trunc is not None else max(64, observed + 1)
     if dim <= observed:
@@ -254,12 +252,10 @@ def _infer_poisson(config: RunConfig, observed: int) -> dict:
 def _infer_binomial(config: RunConfig, n: int, k: int) -> dict:
     if n is None or k is None:
         raise UsageError("binomial inference requires --n and --k")
-    if n < 0 or not 0 <= k <= n:
-        raise UsageError(f"need 0 <= k <= n, got n={n!r}, k={k!r}")
+    if not 0 <= k <= n < 2**63:
+        raise UsageError(f"need 0 <= k <= n < 2**63, got n={n!r}, k={k!r}")
     rep = spin.build_spin_rep(n / 2.0)
-    n_theta = config.n_theta if config.n_theta is not None else rep.two_j + 2
-    n_gamma = config.n_gamma if config.n_gamma is not None else 2 * rep.two_j + 1
-    rule = inference.sphere_quadrature(rep.j, n_theta, n_gamma)
+    rule = inference.sphere_quadrature(rep.j)
     grid = inference.default_p_grid(config.p_points)
     pov = inference.infer_via_pov(k, inference.SpinCoherentFamily(rep), rule, grid)
     analytic = inference.analytic_binomial_posterior(n, k, grid)
@@ -393,11 +389,10 @@ def _check_translation(config: RunConfig) -> list[dict]:
 def _check_identity(config: RunConfig) -> list[dict]:
     rows = []
     for j in (0.5, 1.0, 2.0, 5.0):
-        rep = spin.build_spin_rep(j)
-        rule = inference.sphere_quadrature(j, rep.two_j + 2, 2 * rep.two_j + 1)
-        residual = inference.resolution_of_identity_check(inference.SpinCoherentFamily(rep), rule)
+        family = inference.SpinCoherentFamily(spin.build_spin_rep(j))
+        residual = inference.resolution_of_identity_check(family, inference.sphere_quadrature(j))
         rows.append(_verify_row("identity", f"spin j={j}", residual, _threshold(config, 1e-12)))
-    rule = inference.plane_quadrature(10.0, config.n_r, max(config.n_angle, 65))
+    rule = inference.plane_quadrature(10.0, config.n_r, _PLANE_ANGLE_NODES)
     residual = inference.resolution_of_identity_check(
         inference.FockCoherentFamily(32), rule, n_basis=20
     )
@@ -533,7 +528,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--trunc", type=int, help="Fock truncation / basis size")
-    common.add_argument("--tol", type=float, help="numerical tolerance for route matching")
+    common.add_argument("--tol", type=float, help="residual threshold of every verify check; family and infer ignore it")
     common.add_argument("--out", help="output path (default: stdout)")
     common.add_argument("--format", choices=["json", "csv"], help="output format")
     common.add_argument("--seed", type=int, help="seed for sampled verification points")

@@ -165,16 +165,18 @@ def plane_quadrature(radial_cutoff: float, n_r: int, n_angle: int) -> Quadrature
     )
 
 
-def sphere_quadrature(j, n_theta: int, n_gamma: int) -> QuadratureRule:
+def sphere_quadrature(j, n_theta: int | None = None, n_gamma: int | None = None) -> QuadratureRule:
     """Rule for the invariant sphere measure ((2j+1)/4pi) sin(theta) dtheta dgamma.
 
     Gauss-Legendre in cos(theta) times a uniform rule in gamma.  The node
     counts must resolve the degree-2j integrands of the spin-j family:
     n_theta >= 2j+2, and n_gamma >= 2j+1 because the angle integrands
     e^{-i(k-l)gamma} have lags |k-l| <= 2j, none of which a uniform rule of
-    2j+1 or more nodes aliases onto lag 0.
+    2j+1 or more nodes aliases onto lag 0.  The defaults are 2j+2 and 4j+1.
     """
     two_j = spin._as_two_j(j)
+    n_theta = two_j + 2 if n_theta is None else n_theta
+    n_gamma = 2 * two_j + 1 if n_gamma is None else n_gamma
     if n_theta < two_j + 2:
         raise ValueError(f"need n_theta >= {two_j + 2} for j={two_j / 2}, got {n_theta}")
     if n_gamma < two_j + 1:

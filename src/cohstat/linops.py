@@ -62,23 +62,16 @@ def commutator(a, b) -> np.ndarray:
     return a @ b - b @ a
 
 
-def matrix_exponential(m, tol: float = 1e-12) -> np.ndarray:
+def matrix_exponential(m) -> np.ndarray:
     """Matrix exponential by scipy's Pade scaling and squaring.
 
     scipy.linalg.expm (Al-Mohy & Higham 2009) is accurate to double
-    precision, so ``tol`` only has to be one that double precision can
-    meet.  exp(0) is the identity exactly.
-
-    Raises ValueError for non-finite entries or a non-positive tolerance,
-    RuntimeError for a tolerance below double-precision resolution.
+    precision.  exp(0) is the identity exactly.  Raises ValueError for
+    non-finite entries.
     """
     m = _as_complex_matrix(m)
     if not np.isfinite(m).all():
         raise ValueError("matrix has non-finite entries")
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    if tol < np.finfo(float).eps:
-        raise RuntimeError(f"exponential did not reach tol={tol}: below double-precision resolution")
     from scipy.linalg import expm  # deferred: slow to import, and family/infer never exponentiate
 
     return expm(m)

@@ -123,11 +123,8 @@ def test_criterion_4_operator_identities():
 def test_criterion_5_resolution_of_identity():
     spin_residual = 0.0
     for j in (0.5, 1.0, 5.0):
-        rep = build_spin_rep(j)
-        rule = sphere_quadrature(j, rep.two_j + 2, 2 * rep.two_j + 1)
-        spin_residual = max(
-            spin_residual, resolution_of_identity_check(SpinCoherentFamily(rep), rule)
-        )
+        family = SpinCoherentFamily(build_spin_rep(j))
+        spin_residual = max(spin_residual, resolution_of_identity_check(family, sphere_quadrature(j)))
     plane_rule = plane_quadrature(10.0, 200, 65)
     plane_residual = resolution_of_identity_check(FockCoherentFamily(32), plane_rule, n_basis=20)
     report(
@@ -152,8 +149,7 @@ def test_criterion_6_inferred_posterior_equivalence():
     binomial_sup = binomial_mass_err = 0.0
     for n, k in ((1, 0), (2, 1), (10, 3), (30, 30)):
         rep = build_spin_rep(n / 2.0)
-        rule = sphere_quadrature(rep.j, rep.two_j + 2, 2 * rep.two_j + 1)
-        pov = infer_via_pov(k, SpinCoherentFamily(rep), rule)
+        pov = infer_via_pov(k, SpinCoherentFamily(rep), sphere_quadrature(rep.j))
         analytic = analytic_binomial_posterior(n, k, pov.grid)
         binomial_sup = max(binomial_sup, float(np.abs(pov.density - analytic.density).max()))
         binomial_mass_err = max(binomial_mass_err, abs(pov.total_mass - 1.0))

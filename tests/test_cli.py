@@ -42,6 +42,10 @@ def read_back(text, like):
     return type(like)(text)
 
 
+# n_angle, n_theta and n_gamma are rule sizes, not settings: no value of them changes a result
+UNKNOWN_KEYS = {"truncK": 32, "n_angle": 65, "n_theta": 22, "n_gamma": 41}
+
+
 def namespace(**kwargs):
     defaults = {key: None for key in ("trunc", "tol", "format", "seed", "out", "config")}
     defaults.update(kwargs)
@@ -62,7 +66,6 @@ class TestLoadConfig:
         config = load_config(namespace(config=str(path)))
         assert config.trunc == 32
         assert config.n_r == 120
-        assert config.n_angle == 65
 
     def test_flag_overrides_file(self, tmp_path):
         path = tmp_path / "config.json"
@@ -72,9 +75,10 @@ class TestLoadConfig:
 
     def test_unknown_key_is_named(self, tmp_path):
         path = tmp_path / "config.json"
-        path.write_text(json.dumps({"truncK": 32}))
-        with pytest.raises(ConfigError, match="truncK"):
-            load_config(namespace(config=str(path)))
+        for key, value in UNKNOWN_KEYS.items():
+            path.write_text(json.dumps({key: value}))
+            with pytest.raises(ConfigError, match=key):
+                load_config(namespace(config=str(path)))
 
     def test_invalid_value_rejected(self):
         with pytest.raises(ConfigError, match="tol"):
@@ -82,10 +86,11 @@ class TestLoadConfig:
 
     def test_unknown_key_exits_2(self, tmp_path, capsys):
         path = tmp_path / "config.json"
-        path.write_text(json.dumps({"truncK": 32}))
-        code = main(["family", "poisson", "--lambda", "1", "--config", str(path)])
-        assert code == 2
-        assert "truncK" in capsys.readouterr().err
+        for key, value in UNKNOWN_KEYS.items():
+            path.write_text(json.dumps({key: value}))
+            code = main(["family", "poisson", "--lambda", "1", "--config", str(path)])
+            assert code == 2
+            assert key in capsys.readouterr().err
 
     # (argv, config file text or None, extra flags, key named in the error, exit code of argv alone)
     @pytest.mark.parametrize(
@@ -106,6 +111,9 @@ class TestLoadConfig:
             (["family", "poisson", "--lambda", "50", "--trunc", "64"], '{"tail_tol": NaN}', [], "tail_tol", 1),
             # NaN would fail every check, a bad argument reported as a verification failure
             (["verify", "--check", "example12"], None, ["--tol", "nan"], "tol", 0),
+            (INFER_3, '{"n_angle": 65}', [], "n_angle", 0),
+            (["infer", "binomial", "--n", "20", "--k", "7"], '{"n_theta": 22}', [], "n_theta", 0),
+            (["infer", "binomial", "--n", "20", "--k", "7"], '{"n_gamma": 41}', [], "n_gamma", 0),
         ],
     )
     def test_bad_value_exits_2(self, tmp_path, capsys, argv, config, flags, key, default_code):
@@ -158,6 +166,8 @@ class TestFamilyCommand:
     def test_invalid_parameters_exit_2(self, capsys):
         assert main(["family", "poisson", "--lambda", "-1"]) == 2
         assert main(["family", "binomial", "--n", "2", "--p", "1.0"]) == 2
+        # beyond numpy's int64, and here beyond a float, a count is refused before any kernel
+        assert main(["family", "binomial", "--n", str(10**400), "--p", "0.5"]) == 2
         assert main(["family", "poisson"]) == 2
         assert "error" in capsys.readouterr().err
 
@@ -236,6 +246,11 @@ class TestInferCommand:
         assert main(["infer", "poisson", "--observed", "-1"]) == 2
         assert main(["infer", "binomial", "--n", "2", "--k", "3"]) == 2
         capsys.readouterr()
+        for argv in (["poisson", "--observed", str(10**22)], ["poisson", "--observed", str(10**400)],
+                     ["binomial", "--n", str(10**400), "--k", "1"]):
+            assert main(["infer", *argv]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error:") and "2**63" in err and err.count("\n") == 1
 
     @pytest.mark.parametrize("n, k", [(3000, 700), (3000, 1500), (5000, 2500)])
     def test_overflowed_amplitudes_are_a_numerical_failure(self, tmp_path, capsys, n, k):

@@ -281,9 +281,9 @@ class TestSpectralDisplacement:
     def test_only_bch_forms_dense_exponentials(self, monkeypatch):
         shapes = []
 
-        def counting(m, *args, **kwargs):
+        def counting(m):
             shapes.append(np.shape(m))
-            return matrix_exponential(m, *args, **kwargs)
+            return matrix_exponential(m)
 
         monkeypatch.setattr(fock, "matrix_exponential", counting)
         rep = build_ladder(32)

@@ -41,11 +41,6 @@ def basis_state(dim, k):
     return VectorState(vec)
 
 
-def spin_rule(j):
-    rep = build_spin_rep(j)
-    return sphere_quadrature(j, rep.two_j + 2, 2 * rep.two_j + 1)
-
-
 class TestPlaneQuadrature:
     def test_constant_integrates_to_squared_radius(self):
         rule = plane_quadrature(2.0, 40, 8)
@@ -70,12 +65,12 @@ class TestPlaneQuadrature:
 class TestSphereQuadrature:
     @pytest.mark.parametrize("j", [0.0, 0.5, 1.0, 5.0])
     def test_total_measure_is_dimension(self, j):
-        rule = spin_rule(j)
+        rule = sphere_quadrature(j)
         assert rule.weights.sum() == pytest.approx(2.0 * j + 1.0, rel=1e-13)
 
     def test_success_probability_average(self):
         # int sin^2(theta/2) dmu = (2j+1)/2 = 1 at j = 1/2
-        rule = spin_rule(0.5)
+        rule = sphere_quadrature(0.5)
         p = np.sin(rule.nodes[:, 0] / 2.0) ** 2
         assert np.sum(rule.weights * p) == pytest.approx(1.0, abs=1e-13)
 
@@ -88,6 +83,14 @@ class TestSphereQuadrature:
         with pytest.raises(ValueError, match="n_gamma"):
             sphere_quadrature(j, rep.two_j + 2, rep.two_j)
 
+    @pytest.mark.parametrize("j", [0.0, 0.5, 1.0, 5.0, 10.0])
+    def test_default_node_counts(self, j):
+        rep = build_spin_rep(j)
+        default = sphere_quadrature(j)
+        explicit = sphere_quadrature(j, rep.two_j + 2, 2 * rep.two_j + 1)
+        for field in dataclasses.fields(default):
+            np.testing.assert_array_equal(getattr(default, field.name), getattr(explicit, field.name))
+
     def test_rejects_insufficient_nodes(self):
         with pytest.raises(ValueError, match="n_theta"):
             sphere_quadrature(2.0, 4, 20)
@@ -97,10 +100,10 @@ class TestSphereQuadrature:
 
 class TestResolutionOfIdentity:
     def test_spin_half(self):
-        assert resolution_of_identity_check(SpinCoherentFamily(build_spin_rep(0.5)), spin_rule(0.5)) < 1e-13
+        assert resolution_of_identity_check(SpinCoherentFamily(build_spin_rep(0.5)), sphere_quadrature(0.5)) < 1e-13
 
     def test_spin_five(self):
-        assert resolution_of_identity_check(SpinCoherentFamily(build_spin_rep(5.0)), spin_rule(5.0)) < 1e-12
+        assert resolution_of_identity_check(SpinCoherentFamily(build_spin_rep(5.0)), sphere_quadrature(5.0)) < 1e-12
 
     def test_plane_leading_block(self):
         rule = plane_quadrature(10.0, 200, 65)
@@ -108,7 +111,7 @@ class TestResolutionOfIdentity:
 
     def test_rejects_mismatched_kind(self):
         with pytest.raises(ValueError, match="does not match"):
-            resolution_of_identity_check(FockCoherentFamily(8), spin_rule(1.0))
+            resolution_of_identity_check(FockCoherentFamily(8), sphere_quadrature(1.0))
 
     def test_rejects_bad_block(self):
         rule = plane_quadrature(10.0, 50, 17)
@@ -156,13 +159,13 @@ class TestInferViaPov:
         assert mass == pytest.approx(0.6321206, abs=1e-5)
 
     def test_binomial_posterior_is_beta(self):
-        dist = infer_via_pov(1, SpinCoherentFamily(build_spin_rep(1.0)), spin_rule(1.0))
+        dist = infer_via_pov(1, SpinCoherentFamily(build_spin_rep(1.0)), sphere_quadrature(1.0))
         expected = 6.0 * dist.grid * (1.0 - dist.grid)
         assert np.abs(dist.density - expected).max() < 1e-12
         assert dist.total_mass == pytest.approx(1.0, abs=1e-12)
 
     def test_no_success_density_vanishes_at_certainty(self):
-        dist = infer_via_pov(0, SpinCoherentFamily(build_spin_rep(2.0)), spin_rule(2.0))
+        dist = infer_via_pov(0, SpinCoherentFamily(build_spin_rep(2.0)), sphere_quadrature(2.0))
         assert dist.grid[-1] == 1.0
         assert dist.density[-1] < 1e-16
 
@@ -196,6 +199,34 @@ class TestInferViaPov:
             infer_via_pov(2, FockCoherentFamily(16), rule)
 
 
+class TestAngleRuleSize:
+    """``infer_via_pov`` reads an angle rule only through its weight sum, 2 pi at any node count."""
+
+    def assert_same_posterior(self, dist, reference):
+        np.testing.assert_allclose(dist.density, reference.density, rtol=1e-15, atol=0.0)
+        assert dist.total_mass == pytest.approx(reference.total_mass, rel=1e-15, abs=0.0)
+        for mass in (0.5, 0.9, 0.95):
+            assert credible_interval(dist, mass) == credible_interval(reference, mass)
+
+    @pytest.mark.parametrize("observed", [0, 7, 200])
+    def test_plane_angle_nodes(self, observed):
+        family = FockCoherentFamily(max(64, observed + 1))
+        grid = default_lambda_grid(observed)
+        cutoff = default_radial_cutoff(grid[-1])
+        reference = infer_via_pov(observed, family, plane_quadrature(cutoff, 200, 65), grid)
+        for n_angle in (2, 16, 65, 1000):
+            dist = infer_via_pov(observed, family, plane_quadrature(cutoff, 200, n_angle), grid)
+            self.assert_same_posterior(dist, reference)
+
+    @pytest.mark.parametrize("n, k", [(1, 0), (14, 4), (20, 7), (41, 13), (200, 66)])
+    def test_sphere_angle_nodes(self, n, k):
+        rep = build_spin_rep(n / 2.0)
+        family = SpinCoherentFamily(rep)
+        reference = infer_via_pov(k, family, sphere_quadrature(rep.j, rep.two_j + 2, 2 * rep.two_j + 1))
+        dist = infer_via_pov(k, family, sphere_quadrature(rep.j, rep.two_j + 2, rep.two_j + 1))
+        self.assert_same_posterior(dist, reference)
+
+
 def dense_posterior(observed, family, rule, grid):
     """Posterior from the full amplitude tensor, summing the rule's angle nodes."""
     joint = np.abs(family.amplitudes(rule.principal_nodes, rule.angle_nodes)[:, :, observed]) ** 2
@@ -216,7 +247,7 @@ def dense_identity_residual(family, rule, n_basis):
 
 def coarse_angle_rule(j):
     """Sphere rule with 2j angle nodes, too few for sphere_quadrature: lag 2j aliases onto lag 0."""
-    rule = spin_rule(j)
+    rule = sphere_quadrature(j)
     n_gamma = rule.principal_nodes.size - 2
     gammas = 2.0 * math.pi * np.arange(n_gamma) / n_gamma
     return dataclasses.replace(rule, angle_nodes=gammas, angle_weights=np.full(n_gamma, 2.0 * math.pi / n_gamma))
@@ -227,7 +258,7 @@ class TestSeparableAmplitudes:
     def test_spin_posterior_matches_dense_reference(self, j):
         family = SpinCoherentFamily(build_spin_rep(j))
         grid = default_p_grid()
-        for rule in (spin_rule(j), coarse_angle_rule(j)):
+        for rule in (sphere_quadrature(j), coarse_angle_rule(j)):
             for observed in range(family.dim):
                 dense, mass = dense_posterior(observed, family, rule, grid)
                 dist = infer_via_pov(observed, family, rule, grid)
@@ -248,7 +279,7 @@ class TestSeparableAmplitudes:
     @pytest.mark.parametrize("j", [0.5, 1.0, 2.5, 5.0, 10.0])
     def test_spin_identity_matches_dense_gram(self, j):
         family = SpinCoherentFamily(build_spin_rep(j))
-        rule = spin_rule(j)
+        rule = sphere_quadrature(j)
         residual = resolution_of_identity_check(family, rule)
         assert residual < 1e-12
         assert abs(residual - dense_identity_residual(family, rule, family.dim)) < 1e-13
@@ -270,7 +301,7 @@ class TestSeparableAmplitudes:
     def test_posterior_memory_is_linear_in_the_rule(self):
         # the dense angle tensor at j = 100 would need about 1.3 GB
         family = SpinCoherentFamily(build_spin_rep(100))
-        rule = spin_rule(100)
+        rule = sphere_quadrature(100)
         tracemalloc.start()
         try:
             dist = infer_via_pov(60, family, rule)
