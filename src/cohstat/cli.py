@@ -175,6 +175,8 @@ def _family_poisson(config: RunConfig, lam: float) -> dict:
         raise UsageError(f"lambda must be a finite nonnegative rate, got {lam!r}")
     alpha = math.sqrt(lam)
     trunc = config.trunc if config.trunc is not None else fock.default_truncation(alpha)
+    if trunc >= 2**63:  # levels index numpy int64 arrays
+        raise UsageError(f"truncation {trunc} for lambda={lam!r} is past the int64 limit 2**63 - 1")
     state = fock.coherent_closed_form(alpha, fock.FockSpace(trunc), tail_tol=config.tail_tol)
     # rows stop at the first outcome whose cumulative pmf reaches 1 - _ROW_CUMULATIVE_STOP;
     # the rate is alpha**2, the one fock.poisson_pmf(alpha, n) sees, not lam itself
@@ -195,8 +197,8 @@ def _family_poisson(config: RunConfig, lam: float) -> dict:
 def _family_binomial(config: RunConfig, n: int, p: float) -> dict:
     if n is None or p is None:
         raise UsageError("binomial family requires --n and --p")
-    if not 0 <= n < 2**63:  # counts index numpy int64 arrays
-        raise UsageError(f"n must lie in [0, 2**63), got {n!r}")
+    if not 0 <= n < 2**63 - 1:  # the n + 1 outcomes index numpy int64 arrays
+        raise UsageError(f"n must lie in [0, 2**63 - 1): its n + 1 outcomes must stay within the int64 limit, got {n!r}")
     if not 0.0 <= p < 1.0:
         raise UsageError(f"p must lie in [0, 1), got {p!r}")
     rep = spin.build_spin_rep(n / 2.0)

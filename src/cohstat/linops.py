@@ -2,10 +2,13 @@
 
 Everything downstream (observables, ladder operators, coherent states,
 quadrature checks) is built on the handful of primitives here: Hermitian
-inner products, adjoints, commutators, a matrix exponential (a thin
-wrapper over scipy.linalg.expm), and a deterministic Hermitian
-eigendecomposition.  All functions are pure and operate on plain numpy
-arrays.
+inner products, adjoints, commutators, a matrix exponential, and a
+deterministic Hermitian eigendecomposition.  The exponential takes one of
+two routes, chosen from the structure of its input: a skew-Hermitian
+generator (of a displacement or a rotation) is exponentiated through the
+unitary diagonalization of its Hermitian partner, every other matrix by
+scipy.linalg.expm.  All functions are pure and operate on plain
+numpy arrays.
 """
 
 from __future__ import annotations
@@ -63,15 +66,32 @@ def commutator(a, b) -> np.ndarray:
 
 
 def matrix_exponential(m) -> np.ndarray:
-    """Matrix exponential by scipy's Pade scaling and squaring.
+    """Matrix exponential, through the spectrum when m is skew-Hermitian.
 
-    scipy.linalg.expm (Al-Mohy & Higham 2009) is accurate to double
-    precision.  exp(0) is the identity exactly.  Raises ValueError for
+    The route is chosen from the input's structure, with no option:
+
+    - An exactly skew-Hermitian m (m + m* == 0 entry for entry; the
+      generators of the displacements and rotations) is normal, so with
+      i m = V diag(w) V* from numpy's eigh, exp(m) = V diag(e^{-iw}) V*,
+      unitary to rounding and with no scaling and squaring (the
+      eigenvector method that Moler & Van Loan, "Nineteen Dubious Ways",
+      2003, recommend for normal matrices).
+    - Every other input, such as the nilpotent ladder factors, which have
+      no unitary eigenbasis, goes to scipy.linalg.expm (Al-Mohy & Higham
+      2009, Pade scaling and squaring), accurate to double precision for
+      any matrix.
+
+    The test is exact equality, so a matrix that is only nearly
+    skew-Hermitian, whose spectral form would not be its exponential,
+    stays on expm.  exp(0) is the identity exactly.  Raises ValueError for
     non-finite entries.
     """
     m = _as_complex_matrix(m)
     if not np.isfinite(m).all():
         raise ValueError("matrix has non-finite entries")
+    if not (m + m.conj().T).any():  # for finite x and y, x + y == 0 exactly when y == -x
+        w, v = np.linalg.eigh(1j * m)
+        return (v * np.exp(-1j * w)) @ v.conj().T
     from scipy.linalg import expm  # deferred: slow to import, and family/infer never exponentiate
 
     return expm(m)

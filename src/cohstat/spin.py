@@ -211,7 +211,9 @@ def gauss_decomposition_check(rep: SpinRep, point: SpherePoint) -> float:
     """Operator-norm residual of D = exp(z J+) exp(eta J3) exp(z' J-).
 
     z = -tan(theta/2) e^{-i gamma}, eta = ln(1+|z|^2), z' = -conj(z).
-    Both sides are computed independently with the matrix exponential.
+    Both sides are computed independently with the matrix exponential: the
+    rotation's generator is skew-Hermitian and goes through its spectrum,
+    the triangular and diagonal factors through scipy's Pade expm.
     Raises ValueError when theta is too close to pi for tan(theta/2).
     """
     half = point.theta / 2.0

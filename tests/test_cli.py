@@ -171,6 +171,16 @@ class TestFamilyCommand:
         assert main(["family", "poisson"]) == 2
         assert "error" in capsys.readouterr().err
 
+    # n + 1 = 2**63 outcomes and a truncation of about 1e308 levels cannot index int64 arrays
+    @pytest.mark.parametrize(
+        "argv", [["binomial", "--n", str(2**63 - 1), "--p", "0.5"], ["poisson", "--lambda", "1e308"]]
+    )
+    def test_tables_past_int64_are_usage_errors(self, capsys, argv):
+        assert main(["family", *argv]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "int64 limit" in err and "2**63 - 1" in err
+        assert err.count("\n") == 1
+
     # 2.0: sqrt(2)**2 != 2, so the rows must use the rate poisson_pmf sees, not lambda itself
     @pytest.mark.parametrize("lam", [0.0, 0.01, 1.0, 2.0, 1000.0, 10000.0])
     def test_poisson_rows_match_per_row_pmf_loop(self, tmp_path, lam):
