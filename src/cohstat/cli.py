@@ -167,6 +167,18 @@ def _payload(command: str, config: RunConfig, rows: dict[str, list], footer: dic
 # ---------------------------------------------------------------------------
 # family
 
+# Rows a `family` table may have.  A row costs about 470 bytes on its way to
+# the output (pmf and amplitude arrays, column lists, rendered text), so 2**22
+# rows is about 2 GB; `family poisson --lambda 1e6` builds 1,012,001 rows in
+# about 505 MB.
+_MAX_FAMILY_ROWS = 2**22
+
+
+def _check_family_rows(rows: int, what: str) -> None:
+    """Refuse a table of more than _MAX_FAMILY_ROWS rows, before any array is built."""
+    if rows > _MAX_FAMILY_ROWS:
+        raise UsageError(f"{what} needs a table of {rows} rows, past the limit of {_MAX_FAMILY_ROWS} rows")
+
 
 def _family_poisson(config: RunConfig, lam: float) -> dict:
     if lam is None:
@@ -177,6 +189,7 @@ def _family_poisson(config: RunConfig, lam: float) -> dict:
     trunc = config.trunc if config.trunc is not None else fock.default_truncation(alpha)
     if trunc >= 2**63:  # levels index numpy int64 arrays
         raise UsageError(f"truncation {trunc} for lambda={lam!r} is past the int64 limit 2**63 - 1")
+    _check_family_rows(trunc, f"truncation {trunc} for lambda={lam!r}")
     state = fock.coherent_closed_form(alpha, fock.FockSpace(trunc), tail_tol=config.tail_tol)
     # rows stop at the first outcome whose cumulative pmf reaches 1 - _ROW_CUMULATIVE_STOP;
     # the rate is alpha**2, the one fock.poisson_pmf(alpha, n) sees, not lam itself
@@ -201,6 +214,7 @@ def _family_binomial(config: RunConfig, n: int, p: float) -> dict:
         raise UsageError(f"n must lie in [0, 2**63 - 1): its n + 1 outcomes must stay within the int64 limit, got {n!r}")
     if not 0.0 <= p < 1.0:
         raise UsageError(f"p must lie in [0, 1), got {p!r}")
+    _check_family_rows(n + 1, f"n={n!r}")
     rep = spin.build_spin_rep(n / 2.0)
     point = spin.sphere_point_for_probability(p)
     state = spin.spin_coherent_closed_form(rep, point)

@@ -318,11 +318,11 @@ def bch_check(alpha: complex, rep: LadderRep) -> float:
     """Residual of exp(O1)exp(O2) = exp([O1,O2]/2) exp(O1+O2) on the vacuum.
 
     O1 = alpha A+ and O2 = -conj(alpha) A.  Both sides are evaluated with
-    the matrix exponential, by independent routes: O1 + O2 is skew-Hermitian
-    and is exponentiated through its spectrum, the nilpotent O1 and O2 and
-    the real diagonal commutator by scipy's Pade expm.  The residual is
-    small only when the truncation is large enough for |alpha|, so this
-    doubles as a truncation probe.
+    the matrix exponential, by independent routes: the single-band O1 and
+    O2 by their terminating power series, the real diagonal commutator entry
+    by entry, and the skew-Hermitian O1 + O2 through its spectrum.  The
+    residual is small only when the truncation is large enough for |alpha|,
+    so this doubles as a truncation probe.
     """
     alpha = complex(alpha)
     o1 = alpha * rep.creation

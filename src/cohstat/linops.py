@@ -4,11 +4,13 @@ Everything downstream (observables, ladder operators, coherent states,
 quadrature checks) is built on the handful of primitives here: Hermitian
 inner products, adjoints, commutators, a matrix exponential, and a
 deterministic Hermitian eigendecomposition.  The exponential takes one of
-two routes, chosen from the structure of its input: a skew-Hermitian
-generator (of a displacement or a rotation) is exponentiated through the
-unitary diagonalization of its Hermitian partner, every other matrix by
-scipy.linalg.expm.  All functions are pure and operate on plain
-numpy arrays.
+four routes, chosen from the structure of its input: a diagonal matrix (a
+truncated commutator, a weight factor) entry by entry, a single-band
+nilpotent matrix (a ladder factor) by its terminating power series, a
+skew-Hermitian generator (of a displacement or a rotation) through the
+unitary diagonalization of its Hermitian partner, and every other matrix
+by scipy.linalg.expm.  All functions are pure and operate on plain numpy
+arrays.
 """
 
 from __future__ import annotations
@@ -65,34 +67,65 @@ def commutator(a, b) -> np.ndarray:
     return a @ b - b @ a
 
 
+def _exp_subdiagonal(band: np.ndarray) -> np.ndarray:
+    """exp(m) for the d x d matrix m whose only nonzeros are ``band`` on offset -1.
+
+    m is nilpotent, so the series stops: entry (i+n, i) of exp(m) is
+    band[i] band[i+1] ... band[i+n-1] / n!, and the n-th band follows
+    from the (n-1)-th in one step.
+    """
+    d = band.size + 1
+    result = np.zeros((d, d), dtype=complex)
+    flat = result.reshape(-1)  # entry (i+n, i) sits at n*d + i*(d+1)
+    term = np.ones(d, dtype=complex)
+    flat[:: d + 1] = term
+    for n in range(1, d):
+        term = term[:-1] * band[n - 1 :] / n
+        flat[n * d :: d + 1] = term
+    return result
+
+
 def matrix_exponential(m) -> np.ndarray:
-    """Matrix exponential, through the spectrum when m is skew-Hermitian.
+    """Matrix exponential by the most direct route the input's structure allows.
 
-    The route is chosen from the input's structure, with no option:
+    There is no option; the input picks the first route whose structure it has:
 
+    - A diagonal m (every nonzero on the main diagonal; the truncated
+      commutator, eta J3, the zero matrix) gives diag(e^{m_kk}) entry for
+      entry.
+    - A single-band m (every nonzero on offset -1, or every nonzero on
+      offset +1; the ladder factors alpha A+, -conj(alpha) A, z J+, z' J-)
+      is nilpotent, so its power series stops after d terms: O(d^2) work
+      with no scaling and squaring, and each entry, a product of n band
+      entries over n!, is correct to about 2n roundings.
     - An exactly skew-Hermitian m (m + m* == 0 entry for entry; the
       generators of the displacements and rotations) is normal, so with
       i m = V diag(w) V* from numpy's eigh, exp(m) = V diag(e^{-iw}) V*,
       unitary to rounding and with no scaling and squaring (the
       eigenvector method that Moler & Van Loan, "Nineteen Dubious Ways",
       2003, recommend for normal matrices).
-    - Every other input, such as the nilpotent ladder factors, which have
-      no unitary eigenbasis, goes to scipy.linalg.expm (Al-Mohy & Higham
-      2009, Pade scaling and squaring), accurate to double precision for
-      any matrix.
+    - Every other input goes to scipy.linalg.expm (Al-Mohy & Higham 2009,
+      Pade scaling and squaring), accurate to double precision for any
+      matrix.
 
-    The test is exact equality, so a matrix that is only nearly
-    skew-Hermitian, whose spectral form would not be its exponential,
-    stays on expm.  exp(0) is the identity exactly.  Raises ValueError for
-    non-finite entries.
+    Each test is exact, on the entries themselves, so a matrix that only
+    nearly has a structure stays on a later route.  exp(0) is the identity
+    exactly.  Raises ValueError for non-finite entries.
     """
     m = _as_complex_matrix(m)
     if not np.isfinite(m).all():
         raise ValueError("matrix has non-finite entries")
+    nonzeros = np.count_nonzero(m)
+    if nonzeros == np.count_nonzero(np.diagonal(m)):
+        return np.diag(np.exp(np.diagonal(m)))
+    if nonzeros == np.count_nonzero(np.diagonal(m, -1)):
+        return _exp_subdiagonal(np.diagonal(m, -1))
+    if nonzeros == np.count_nonzero(np.diagonal(m, 1)):
+        return _exp_subdiagonal(np.diagonal(m, 1)).T  # exp(m) = exp(m^T)^T
     if not (m + m.conj().T).any():  # for finite x and y, x + y == 0 exactly when y == -x
         w, v = np.linalg.eigh(1j * m)
         return (v * np.exp(-1j * w)) @ v.conj().T
-    from scipy.linalg import expm  # deferred: slow to import, and family/infer never exponentiate
+    from scipy.linalg import expm  # deferred: slow to import, and only a general input needs it
 
     return expm(m)
 

@@ -213,7 +213,8 @@ def gauss_decomposition_check(rep: SpinRep, point: SpherePoint) -> float:
     z = -tan(theta/2) e^{-i gamma}, eta = ln(1+|z|^2), z' = -conj(z).
     Both sides are computed independently with the matrix exponential: the
     rotation's generator is skew-Hermitian and goes through its spectrum,
-    the triangular and diagonal factors through scipy's Pade expm.
+    the single-band z J+ and z' J- through their terminating power series
+    and the diagonal eta J3 entry by entry.
     Raises ValueError when theta is too close to pi for tan(theta/2).
     """
     half = point.theta / 2.0

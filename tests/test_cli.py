@@ -181,6 +181,33 @@ class TestFamilyCommand:
         assert err.startswith("error:") and "int64 limit" in err and "2**63 - 1" in err
         assert err.count("\n") == 1
 
+    # tables int64 can index but numpy cannot build (np.arange of 2**63 - 1 is empty), and one
+    # of 7.3 TiB, are refused before any array is built
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["binomial", "--n", str(2**63 - 2), "--p", "0.5"],
+            ["poisson", "--lambda", "1", "--trunc", str(2**63 - 1)],
+            ["binomial", "--n", str(10**12), "--p", "0.5"],
+        ],
+    )
+    def test_tables_past_the_row_limit_are_usage_errors(self, capsys, argv):
+        assert main(["family", *argv]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "limit of 4194304 rows" in err
+        assert err.count("\n") == 1
+
+    def test_row_limit_admits_tables_up_to_it(self, monkeypatch):
+        monkeypatch.setattr(cli, "_MAX_FAMILY_ROWS", 3)
+        assert main(["family", "binomial", "--n", "2", "--p", "0.5", "--out", os.devnull]) == 0
+        assert main(["family", "binomial", "--n", "3", "--p", "0.5", "--out", os.devnull]) == 2
+        assert main(["family", "poisson", "--lambda", "1e-4", "--trunc", "3", "--out", os.devnull]) == 0
+        assert main(["family", "poisson", "--lambda", "1e-4", "--trunc", "4", "--out", os.devnull]) == 2
+
+    def test_million_row_poisson_table_is_built(self):
+        # 1,012,001 rows in about 505 MB, a quarter of the row limit
+        assert main(["family", "poisson", "--lambda", "1e6", "--out", os.devnull]) == 0
+
     # 2.0: sqrt(2)**2 != 2, so the rows must use the rate poisson_pmf sees, not lambda itself
     @pytest.mark.parametrize("lam", [0.0, 0.01, 1.0, 2.0, 1000.0, 10000.0])
     def test_poisson_rows_match_per_row_pmf_loop(self, tmp_path, lam):
@@ -535,8 +562,17 @@ class TestImportPath:
         result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
         return result.stdout.strip()
 
+    def _scipy_modules_after(self, argv: str) -> str:
+        """The scipy modules loaded by a fresh process that runs ``main(argv)``, which must exit 0."""
+        code = (
+            "import os, sys, cohstat.cli\n"
+            f"assert cohstat.cli.main({argv.split()!r} + ['--out', os.devnull]) == 0\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        )
+        return self._fresh(code)
+
     def test_cli_import_loads_no_scipy(self):
-        # family and infer are numpy only; verify imports scipy.linalg when it runs
+        # family and infer are numpy only; verify's translation check imports scipy.linalg
         code = "import sys, cohstat.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
         assert self._fresh(code) == "[]"
 
@@ -550,9 +586,10 @@ class TestImportPath:
         ],
     )
     def test_family_and_infer_runs_load_no_scipy(self, argv):
-        code = (
-            "import os, sys, cohstat.cli\n"
-            f"assert cohstat.cli.main({argv.split()!r} + ['--out', os.devnull]) == 0\n"
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
-        )
-        assert self._fresh(code) == "[]"
+        assert self._scipy_modules_after(argv) == "[]"
+
+    # every factor of these two checks has an exact route in linops, so neither reaches expm;
+    # translation still loads scipy.linalg for eigh_tridiagonal and is not pinned
+    @pytest.mark.parametrize("argv", ["verify --check bch --alpha=3 --trunc 64", "verify --check gauss"])
+    def test_bch_and_gauss_load_no_scipy(self, argv):
+        assert self._scipy_modules_after(argv) == "[]"

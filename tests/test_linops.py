@@ -114,15 +114,43 @@ class TestMatrixExponential:
     def test_zero_matrix_is_exact_identity(self):
         assert np.array_equal(matrix_exponential(np.zeros((4, 4))), np.eye(4))
 
-    def test_nilpotent_ladder_generator_stays_on_pade(self):
-        # alpha A+ is not normal, so it takes scipy's expm; its vacuum column is alpha^k / sqrt(k!)
+    # the vacuum column of exp(alpha A+) is alpha^k / sqrt(k!), exactly so in the truncated space
+    def test_ladder_factor_vacuum_column(self):
         alpha = 1.5 - 0.5j
         m = alpha * build_ladder(16).creation
-        assert not _is_skew_hermitian(m)
-        result = matrix_exponential(m)
-        assert np.array_equal(result, scipy.linalg.expm(m))
+        assert _route(m) == "band"
         column = [alpha**k / math.sqrt(math.factorial(k)) for k in range(16)]
-        assert np.abs(result[:, 0] - column).max() < 1e-14 * np.abs(column).max()
+        assert np.abs(matrix_exponential(m)[:, 0] - column).max() < 1e-14 * np.abs(column).max()
+
+    # Bound from measurement: over 20000 seeded cases (d <= 128, band entries of modulus up
+    # to 10 sqrt(2)) the largest |exp(m) - expm(m)| was 80 eps max(1, max |expm(m)|), at d = 8
+    # and scale 8.3; 200 eps leaves a margin of 2.5x.  The deviation is expm's: against exact
+    # rational sums of the same terms the band route stays within 4.4 eps of the largest entry.
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        dim=st.integers(1, 128),
+        scale=st.floats(0.0, 10.0),
+        offset=st.sampled_from([-1, 1]),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_single_band_route_matches_expm(self, seed, dim, scale, offset):
+        rng = np.random.default_rng(seed)
+        band = scale * (rng.uniform(-1.0, 1.0, dim - 1) + 1j * rng.uniform(-1.0, 1.0, dim - 1))
+        m = np.diag(band, offset)
+        assert _route(m) == ("diagonal" if not band.any() else "band")
+        oracle = scipy.linalg.expm(m)
+        eps = np.finfo(float).eps
+        assert np.abs(matrix_exponential(m) - oracle).max() <= 200.0 * eps * max(1.0, np.abs(oracle).max())
+
+    @pytest.mark.parametrize(
+        "diagonal",
+        [[0.0, -1.5, 2.0, 700.0], [1j * math.pi, -0.25j, 3.0j], [0.5 - 2j, -3 + 1e-3j, 0.0, 1e-300j]],
+        ids=["real", "imaginary", "complex"],
+    )
+    def test_diagonal_route_is_entrywise_exp(self, diagonal):
+        m = np.diag(np.array(diagonal, dtype=complex))
+        assert _route(m) == "diagonal"
+        assert np.array_equal(matrix_exponential(m), np.diag(np.exp(np.diagonal(m))))
 
     # Bounds from measurement: over 20000 seeded cases (d <= 64, ||m||_2 <= 50) the largest
     # entry of |exp(m) - expm(m)| was 10 eps max(1, ||m||_2), and of |U*U - I| 20.5 eps,
@@ -190,25 +218,41 @@ def _is_skew_hermitian(m) -> bool:
     return np.array_equal(m, -np.conj(m).T)
 
 
+def _route(m) -> str:
+    """The route matrix_exponential's structure tests pick for m, in their order."""
+    if np.array_equal(m, np.diag(np.diagonal(m))):
+        return "diagonal"
+    if any(np.array_equal(m, np.diag(np.diagonal(m, k), k)) for k in (-1, 1)):
+        return "band"
+    return "skew" if _is_skew_hermitian(m) else "expm"
+
+
 @contextlib.contextmanager
 def _recorded_exponentials(module):
-    """Patch ``module.matrix_exponential`` to list whether each input is exactly skew-Hermitian."""
-    skew = []
+    """Patch ``module.matrix_exponential`` to list the route each input takes.
+
+    scipy's expm is patched to fail, so an input that reaches it fails the test.
+    """
+    routes = []
 
     def record(m):
-        skew.append(_is_skew_hermitian(m))
+        routes.append(_route(m))
         return matrix_exponential(m)
+
+    def unreachable(m):
+        raise AssertionError(f"a {m.shape} input reached scipy.linalg.expm")
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(module, "matrix_exponential", record)
-        yield skew
+        patch.setattr(scipy.linalg, "expm", unreachable)
+        yield routes
 
 
 class TestExponentialRoutes:
-    """The group actions hand matrix_exponential exactly skew-Hermitian generators.
+    """The group actions hand matrix_exponential only inputs with an exact route.
 
-    Exact equality with -m* is what sends a matrix to the spectral route, so
-    these pin which factors take it; the remaining factors stay on expm.
+    Exact structure (zeros off one diagonal, equality with -m*) is what picks
+    a route, so these pin which factor takes which; none is left to expm.
     """
 
     @given(
@@ -217,10 +261,10 @@ class TestExponentialRoutes:
     )
     @settings(max_examples=25, deadline=None)
     def test_bch_sum_generator(self, alpha, trunc):
-        with _recorded_exponentials(fock) as skew:
+        with _recorded_exponentials(fock) as routes:
             fock.bch_check(alpha, build_ladder(trunc))
         # exp(O1), exp(O2), exp([O1, O2] / 2), exp(O1 + O2)
-        assert skew == [False, False, False, True]
+        assert routes == ["band", "band", "diagonal", "skew"]
 
     @given(
         two_j=st.integers(1, 40),
@@ -231,13 +275,13 @@ class TestExponentialRoutes:
     def test_rotation_and_coset_generators(self, two_j, theta, gamma):
         rep = spin.build_spin_rep(two_j / 2.0)
         point = spin.SpherePoint(theta, gamma)
-        with _recorded_exponentials(spin) as skew:
+        with _recorded_exponentials(spin) as routes:
             spin.rotation_matrix(rep, point)
             spin.coset_element(point)
             spin.spin_coherent_via_exponential(rep, point)
             spin.gauss_decomposition_check(rep, point)
-        # the Gauss check's rotation is spectral; exp(z J+), exp(eta J3), exp(z' J-) are not
-        assert skew == [True, True, True, True, False, False, False]
+        # the Gauss check's rotation, then exp(z J+), exp(eta J3), exp(z' J-)
+        assert routes == ["skew", "skew", "skew", "skew", "band", "diagonal", "band"]
 
 
 class TestHermitianEigendecomposition:
