@@ -11,7 +11,6 @@ posteriors of a uniform prior on the canonical parameter.
 from .fock import (
     CoherentStateWH,
     FockSpace,
-    LadderRep,
     TruncationError,
     WHGroupElement,
     bch_check,
@@ -41,10 +40,7 @@ from .inference import (
 )
 from .linops import (
     SpectralDecomposition,
-    adjoint,
-    commutator,
     hermitian_eigendecomposition,
-    inner_product,
     matrix_exponential,
     phase_aligned_distance,
 )

@@ -11,9 +11,10 @@ of the payload with ``rows`` in record form, one object per row.
 Config values of the wrong type, out of range or not finite are a
 configuration error naming the key.
 Exit codes: 0 success or all checks passing, 1 verification failure or
-numerical failure (a quadrature rule that does not resolve the family, a
-truncation too small for the displacement, a state or distribution that
-overflowed to non-finite values), 2 usage or configuration error.
+numerical failure (a quadrature rule or parameter grid that does not resolve
+the distribution, a truncation too small for the displacement, a state or
+distribution that overflowed to non-finite values), 2 usage or configuration
+error.
 """
 
 from __future__ import annotations
@@ -229,6 +230,13 @@ def _family_binomial(config: RunConfig, n: int, p: float) -> dict:
 # ---------------------------------------------------------------------------
 # infer
 
+# Trials `infer binomial` accepts.  Its sphere rule has n + 2 nodes and an
+# O(n^2) recurrence: n = 2**15 takes about 1.4 s, n = 10**8 would take hours,
+# and n = 10**12 would ask for terabytes.  Past n = 16445 the amplitudes
+# overflow and the command exits 1 anyway, so the limit refuses nothing that
+# succeeds.
+_MAX_INFER_BINOMIAL_N = 2**15
+
 
 def _infer_payload(config: RunConfig, pov, analytic) -> dict:
     absdiff = np.abs(pov.density - analytic.density)
@@ -270,6 +278,8 @@ def _infer_binomial(config: RunConfig, n: int, k: int) -> dict:
         raise UsageError("binomial inference requires --n and --k")
     if not 0 <= k <= n < 2**63:
         raise UsageError(f"need 0 <= k <= n < 2**63, got n={n!r}, k={k!r}")
+    if n > _MAX_INFER_BINOMIAL_N:
+        raise UsageError(f"n={n!r} is past the limit of {_MAX_INFER_BINOMIAL_N} trials for binomial inference")
     rep = spin.build_spin_rep(n / 2.0)
     rule = inference.sphere_quadrature(rep.j)
     grid = inference.default_p_grid(config.p_points)
@@ -318,22 +328,21 @@ def _check_example12(config: RunConfig) -> list[dict]:
 def _check_ladder(config: RunConfig) -> list[dict]:
     trunc = config.trunc if config.trunc is not None else 256
     rep = fock.build_ladder(trunc)
+    annihilation, creation, number = rep.annihilation, rep.creation, rep.number
     rows = []
 
-    creation_annihilation = rep.creation @ rep.annihilation
+    creation_annihilation = creation @ annihilation
     ladder_defect = max(
-        float(np.abs(rep.annihilation - np.diag(np.sqrt(np.arange(1.0, trunc)), 1)).max()),
-        float(np.abs(rep.creation - rep.annihilation.conj().T).max()),
-        float(np.abs(rep.number - np.diag(np.arange(float(trunc)))).max()),
-        float(np.abs(rep.number - creation_annihilation).max()),
+        float(np.abs(annihilation - np.diag(np.sqrt(np.arange(1.0, trunc)), 1)).max()),
+        float(np.abs(creation - annihilation.conj().T).max()),
+        float(np.abs(number - np.diag(np.arange(float(trunc)))).max()),
+        float(np.abs(number - creation_annihilation).max()),
     )
     rows.append(_verify_row("ladder", f"relations trunc={trunc}", ladder_defect, _threshold(config, 1e-12)))
 
     truncated_identity = np.eye(trunc)
     truncated_identity[-1, -1] = -(trunc - 1.0)
-    comm_defect = float(
-        np.abs(rep.annihilation @ rep.creation - creation_annihilation - truncated_identity).max()
-    )
+    comm_defect = float(np.abs(annihilation @ creation - creation_annihilation - truncated_identity).max())
     rows.append(_verify_row("ladder", f"commutation trunc={trunc}", comm_defect, _threshold(config, 1e-12)))
 
     e1, e2, e3 = spin.so3_basis()
@@ -345,10 +354,11 @@ def _check_ladder(config: RunConfig) -> list[dict]:
     rows.append(_verify_row("ladder", "so3 commutators", so3_defect, _threshold(config, 1e-12)))
 
     srep = spin.build_spin_rep(25)
+    j3, j_plus, j_minus = srep.j3, srep.j_plus, srep.j_minus
     spin_defect = max(
-        float(np.abs(srep.j3 @ srep.j_plus - srep.j_plus @ srep.j3 - srep.j_plus).max()),
-        float(np.abs(srep.j3 @ srep.j_minus - srep.j_minus @ srep.j3 + srep.j_minus).max()),
-        float(np.abs(srep.j_plus @ srep.j_minus - srep.j_minus @ srep.j_plus - 2.0 * srep.j3).max()),
+        float(np.abs(j3 @ j_plus - j_plus @ j3 - j_plus).max()),
+        float(np.abs(j3 @ j_minus - j_minus @ j3 + j_minus).max()),
+        float(np.abs(j_plus @ j_minus - j_minus @ j_plus - 2.0 * j3).max()),
     )
     rows.append(_verify_row("ladder", "spin commutators j=25", spin_defect, _threshold(config, 1e-12)))
     return rows

@@ -2,7 +2,9 @@
 
 The annihilation/creation pair acts on a finite basis phi_0..phi_{K-1}, so
 the canonical commutation relation [A, A+] = I holds only below the top
-level; the top-level defect is a documented truncation artifact.  Coherent
+level; the top-level defect is a documented truncation artifact.
+``FockSpace`` is the representation: like ``spin.SpinRep`` it carries only
+its size and builds its real ladder matrices when they are read.  Coherent
 states come from two routes that must agree: the closed-form expansion
 with coefficients e^{-|a|^2/2} a^k / sqrt(k!), and the displacement applied
 to the vacuum.  Its generator a*A+ - conj(a)*A equals -i|a| W S W*, with
@@ -21,13 +23,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linops import adjoint, matrix_exponential, phase_aligned_distance
+from .linops import matrix_exponential, phase_aligned_distance
 from .pv_measure import VectorState
 
 __all__ = [
     "CoherentStateWH",
     "FockSpace",
-    "LadderRep",
     "TruncationError",
     "WHGroupElement",
     "bch_check",
@@ -52,7 +53,13 @@ class TruncationError(RuntimeError):
 
 @dataclass(frozen=True)
 class FockSpace:
-    """Finite number basis phi_0..phi_{dim-1}."""
+    """Finite number basis phi_0..phi_{dim-1}, carried by its size.
+
+    Its ladder matrices are real and built when read: A phi_k = sqrt(k)
+    phi_{k-1}, the creation matrix A+ is the transpose of A, and the number
+    matrix is diagonal with entries 0..dim-1.  On the top basis vector A+
+    annihilates instead of raising (truncation).
+    """
 
     dim: int
 
@@ -60,33 +67,22 @@ class FockSpace:
         if self.dim < 2:
             raise ValueError(f"truncation must be at least 2, got {self.dim}")
 
-
-@dataclass(frozen=True)
-class LadderRep:
-    """Annihilation, creation, and number matrices on a truncated Fock space."""
-
-    annihilation: np.ndarray
-    creation: np.ndarray
-    number: np.ndarray
-    space: FockSpace
+    @property
+    def annihilation(self) -> np.ndarray:
+        return np.diag(np.sqrt(np.arange(1.0, self.dim)), k=1)
 
     @property
-    def dim(self) -> int:
-        return self.space.dim
+    def creation(self) -> np.ndarray:
+        return self.annihilation.T
+
+    @property
+    def number(self) -> np.ndarray:
+        return np.diag(np.arange(float(self.dim)))
 
 
-def build_ladder(dim: int) -> LadderRep:
-    """Ladder matrices with A phi_k = sqrt(k) phi_{k-1}.
-
-    The creation matrix is the exact adjoint of the annihilation matrix,
-    and the number matrix is diagonal with entries 0..dim-1.  On the top
-    basis vector A+ annihilates instead of raising (truncation).
-    """
-    space = FockSpace(dim)
-    annihilation = np.diag(np.sqrt(np.arange(1, dim, dtype=float)), k=1).astype(complex)
-    creation = adjoint(annihilation)
-    number = np.diag(np.arange(dim, dtype=float)).astype(complex)
-    return LadderRep(annihilation=annihilation, creation=creation, number=number, space=space)
+def build_ladder(dim: int) -> FockSpace:
+    """The truncated Fock space of ``dim`` levels; raises ValueError below 2."""
+    return FockSpace(dim)
 
 
 @dataclass(frozen=True)
@@ -290,7 +286,7 @@ def _vacuum(dim: int) -> np.ndarray:
     return vec
 
 
-def coherent_via_exponential(alpha: complex, rep: LadderRep, tol: float = 1e-10) -> CoherentStateWH:
+def coherent_via_exponential(alpha: complex, rep: FockSpace, tol: float = 1e-10) -> CoherentStateWH:
     """Coherent state from the displacement exponential applied to the vacuum.
 
     Cross-validates against the closed form: raises TruncationError when the
@@ -299,7 +295,7 @@ def coherent_via_exponential(alpha: complex, rep: LadderRep, tol: float = 1e-10)
     if tol <= 0:
         raise ValueError("tol must be positive")
     alpha = complex(alpha)
-    closed = coherent_closed_form(alpha, rep.space, tail_tol=max(tol, DEFAULT_TAIL_TOL))
+    closed = coherent_closed_form(alpha, rep, tail_tol=max(tol, DEFAULT_TAIL_TOL))
     vec = _displace(alpha, _vacuum(rep.dim), _position_spectrum(rep.dim))
     distance = phase_aligned_distance(vec, closed.vector.vector)
     if distance > 10.0 * tol:
@@ -314,7 +310,7 @@ def coherent_via_exponential(alpha: complex, rep: LadderRep, tol: float = 1e-10)
     )
 
 
-def bch_check(alpha: complex, rep: LadderRep) -> float:
+def bch_check(alpha: complex, rep: FockSpace) -> float:
     """Residual of exp(O1)exp(O2) = exp([O1,O2]/2) exp(O1+O2) on the vacuum.
 
     O1 = alpha A+ and O2 = -conj(alpha) A.  Both sides are evaluated with
@@ -337,7 +333,7 @@ def bch_check(alpha: complex, rep: LadderRep) -> float:
 def displacement_translation_check(
     alpha: complex,
     beta: complex,
-    rep: LadderRep,
+    rep: FockSpace,
     overlap_tol: float = 1e-8,
 ) -> tuple[float, complex]:
     """Check that displacement by beta translates the state at alpha to alpha+beta.

@@ -53,7 +53,11 @@ _ANALYTIC_MASS_TOL = 1e-10
 
 
 class ResolutionError(ValueError):
-    """The quadrature rule does not resolve the family: its mass misses 1."""
+    """A rule or grid does not resolve the distribution.
+
+    Either the quadrature rule's mass misses 1, or the parameter grid holds
+    less than a requested credible mass.
+    """
 
 
 @dataclass(frozen=True)
@@ -500,7 +504,7 @@ def credible_interval(dist: InferredDistribution, mass: float) -> tuple[float, f
     Interval masses are trapezoidal on the grid.  Flat-topped densities
     admit many windows of the same minimal grid width, so ties in width
     (up to rounding) break toward the largest enclosed mass, then toward
-    the lower left endpoint.  Raises ValueError when no grid interval
+    the lower left endpoint.  Raises ResolutionError when no grid interval
     reaches the mass.
     """
     if not 0.0 < mass < 1.0:
@@ -511,9 +515,7 @@ def credible_interval(dist: InferredDistribution, mass: float) -> tuple[float, f
     cumulative = [0.0, *np.cumsum(segments).tolist()]
     grid = dist.grid.tolist()
     if cumulative[-1] < mass:
-        raise ValueError(
-            f"grid supports only mass {cumulative[-1]!r}, cannot cover {mass!r}"
-        )
+        raise ResolutionError(f"grid supports only mass {cumulative[-1]!r}, cannot cover {mass!r}")
     width_tol = 1e-12 * max(1.0, grid[-1] - grid[0])
     best: tuple[float, float, int, int] | None = None
     right = 0

@@ -1,16 +1,16 @@
 """Dense complex linear algebra kernel.
 
-Everything downstream (observables, ladder operators, coherent states,
-quadrature checks) is built on the handful of primitives here: Hermitian
-inner products, adjoints, commutators, a matrix exponential, and a
-deterministic Hermitian eigendecomposition.  The exponential takes one of
-four routes, chosen from the structure of its input: a diagonal matrix (a
-truncated commutator, a weight factor) entry by entry, a single-band
-nilpotent matrix (a ladder factor) by its terminating power series, a
-skew-Hermitian generator (of a displacement or a rotation) through the
-unitary diagonalization of its Hermitian partner, and every other matrix
-by scipy.linalg.expm.  All functions are pure and operate on plain numpy
-arrays.
+Only what numpy does not give in one call lives here: a matrix
+exponential, a deterministic Hermitian eigendecomposition, and the
+distance between two vectors up to a global phase.  Adjoints, commutators
+and inner products are numpy expressions (``m.conj().T``, ``a @ b - b @ a``,
+``np.vdot``).  The exponential takes one of four routes, chosen from the
+structure of its input: a diagonal matrix (a truncated commutator, a weight
+factor) entry by entry, a single-band nilpotent matrix (a ladder factor) by
+its terminating power series, a skew-Hermitian generator (of a displacement
+or a rotation) through the unitary diagonalization of its Hermitian
+partner, and every other matrix by scipy.linalg.expm.  All functions are
+pure and operate on plain numpy arrays.
 """
 
 from __future__ import annotations
@@ -21,10 +21,7 @@ import numpy as np
 
 __all__ = [
     "SpectralDecomposition",
-    "adjoint",
-    "commutator",
     "hermitian_eigendecomposition",
-    "inner_product",
     "matrix_exponential",
     "phase_aligned_distance",
 ]
@@ -42,29 +39,6 @@ def _as_complex_vector(v) -> np.ndarray:
     if v.ndim != 1 or v.shape[0] < 1:
         raise ValueError(f"expected a nonempty 1-d vector, got shape {v.shape}")
     return v
-
-
-def inner_product(u, v) -> complex:
-    """Hermitian inner product, conjugate-linear in the first argument."""
-    u = _as_complex_vector(u)
-    v = _as_complex_vector(v)
-    if u.shape != v.shape:
-        raise ValueError(f"dimension mismatch: {u.shape[0]} vs {v.shape[0]}")
-    return complex(np.vdot(u, v))
-
-
-def adjoint(m) -> np.ndarray:
-    """Conjugate transpose."""
-    return _as_complex_matrix(m).conj().T.copy()
-
-
-def commutator(a, b) -> np.ndarray:
-    """[a, b] = ab - ba."""
-    a = _as_complex_matrix(a)
-    b = _as_complex_matrix(b)
-    if a.shape != b.shape:
-        raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
-    return a @ b - b @ a
 
 
 def _exp_subdiagonal(band: np.ndarray) -> np.ndarray:
@@ -162,11 +136,6 @@ class SpectralDecomposition:
     @property
     def dim(self) -> int:
         return self.eigenvalues.shape[0]
-
-    def reconstruct(self) -> np.ndarray:
-        """Sum of eigenvalue-weighted rank-one projectors."""
-        v = self.eigenvectors
-        return (v * self.eigenvalues) @ v.conj().T
 
 
 def _fix_column_phases(vectors: np.ndarray) -> np.ndarray:

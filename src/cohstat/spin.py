@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fock import _EXTENDED, _bd0, _log_factorial_excess
-from .linops import adjoint, matrix_exponential, phase_aligned_distance
+from .linops import matrix_exponential, phase_aligned_distance
 from .pv_measure import VectorState
 
 __all__ = [
@@ -69,7 +69,7 @@ def _as_two_j(j) -> int:
 
 @dataclass(frozen=True)
 class SpinRep:
-    """Spin-j representation, carried by 2j; its matrices are built when read."""
+    """Spin-j representation, carried by 2j; its matrices are built when read, real except J2."""
 
     two_j: int
 
@@ -88,21 +88,18 @@ class SpinRep:
     @property
     def j3(self) -> np.ndarray:
         """Diagonal weight matrix with entries m = -j..j."""
-        return np.diag(self.m_values).astype(complex)
+        return np.diag(self.m_values)
 
     @property
     def j_plus(self) -> np.ndarray:
         """Raising matrix, J+ phi_m = sqrt((j-m)(j+m+1)) phi_{m+1}."""
         # at index i (m = -j + i): (j - m)(j + m + 1) = (2j - i)(i + 1)
-        i = np.arange(self.two_j)
-        j_plus = np.zeros((self.dim, self.dim), dtype=complex)
-        j_plus[i + 1, i] = np.sqrt((self.two_j - i) * (i + 1.0))
-        return j_plus
+        return np.diag(np.sqrt((self.two_j - np.arange(self.two_j)) * np.arange(1.0, self.dim)), k=-1)
 
     @property
     def j_minus(self) -> np.ndarray:
-        """Lowering matrix, the exact adjoint of J+."""
-        return adjoint(self.j_plus)
+        """Lowering matrix, the transpose (and adjoint) of the real J+."""
+        return self.j_plus.T
 
     @property
     def j1(self) -> np.ndarray:

@@ -306,6 +306,32 @@ class TestInferCommand:
         assert err.startswith("numerical failure: quadrature mass")
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize("n", [8000, 16000])
+    def test_unresolved_credible_interval_exits_1(self, tmp_path, capsys, n):
+        # the default p grid does not resolve Beta(6, n - 4), which is a numerical failure, not a usage error
+        out = tmp_path / "out.json"
+        assert main(["infer", "binomial", "--n", str(n), "--k", "5", "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure: grid supports only mass") and "cannot cover" in err
+        assert err.count("\n") == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("n", [2**15 + 1, 10**8, 10**12])
+    def test_binomial_past_the_trial_limit_is_a_usage_error(self, monkeypatch, capsys, n):
+        def refuse(j):
+            raise AssertionError(f"spin-{j} representation built for a refused n")
+
+        monkeypatch.setattr(cli.spin, "build_spin_rep", refuse)
+        assert main(["infer", "binomial", "--n", str(n), "--k", "5"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "limit of 32768 trials" in err
+        assert err.count("\n") == 1
+
+    def test_trial_limit_admits_n_up_to_it(self, monkeypatch):
+        monkeypatch.setattr(cli, "_MAX_INFER_BINOMIAL_N", 20)
+        assert main(["infer", "binomial", "--n", "20", "--k", "7", "--out", os.devnull]) == 0
+        assert main(["infer", "binomial", "--n", "21", "--k", "7", "--out", os.devnull]) == 2
+
     def test_large_binomial_posterior(self, tmp_path):
         code, payload = run_json(tmp_path, ["infer", "binomial", "--n", "1000", "--k", "300"])
         assert code == 0

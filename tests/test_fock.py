@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -38,16 +39,24 @@ class TestBuildLadder:
         assert np.array_equal(rep.annihilation, np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex))
         assert np.array_equal(rep.number, np.diag([0.0, 1.0]).astype(complex))
 
-    def test_ladder_relations(self):
-        rep = build_ladder(12)
-        for k in range(12):
-            down = rep.annihilation @ basis_vector(12, k)
-            expected = math.sqrt(k) * basis_vector(12, k - 1) if k > 0 else np.zeros(12)
+    def test_carries_only_dim_and_real_matrices(self):
+        rep = build_ladder(8)
+        assert [field.name for field in dataclasses.fields(rep)] == ["dim"]
+        for matrix in (rep.annihilation, rep.creation, rep.number):
+            assert matrix.dtype == np.float64
+
+    @pytest.mark.parametrize("dim", [12, 512])
+    def test_ladder_relations(self, dim):
+        rep = build_ladder(dim)
+        annihilation, creation, number = rep.annihilation, rep.creation, rep.number
+        for k in range(dim):
+            down = annihilation @ basis_vector(dim, k)
+            expected = math.sqrt(k) * basis_vector(dim, k - 1) if k > 0 else np.zeros(dim)
             assert np.array_equal(down, expected)
-            up = rep.creation @ basis_vector(12, k)
-            expected = math.sqrt(k + 1) * basis_vector(12, k + 1) if k < 11 else np.zeros(12)
+            up = creation @ basis_vector(dim, k)
+            expected = math.sqrt(k + 1) * basis_vector(dim, k + 1) if k < dim - 1 else np.zeros(dim)
             assert np.array_equal(up, expected)
-            assert np.array_equal(rep.number @ basis_vector(12, k), k * basis_vector(12, k))
+            assert np.array_equal(number @ basis_vector(dim, k), k * basis_vector(dim, k))
 
     def test_number_is_creation_annihilation_product(self):
         rep = build_ladder(32)
@@ -140,7 +149,7 @@ class TestCoherentViaExponential:
     def test_matches_closed_form(self, alpha, dim):
         rep = build_ladder(dim)
         via_exp = coherent_via_exponential(alpha, rep, tol=1e-11)
-        closed = coherent_closed_form(alpha, rep.space)
+        closed = coherent_closed_form(alpha, rep)
         assert phase_aligned_distance(via_exp.vector.vector, closed.vector.vector) < 1e-10
 
     def test_rejects_insufficient_truncation(self):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cohstat.linops import commutator, matrix_exponential, phase_aligned_distance
+from cohstat.linops import matrix_exponential, phase_aligned_distance
 from cohstat.spin import (
     BinomialMap,
     SpherePoint,
@@ -42,9 +43,9 @@ class TestSO3Basis:
 
     def test_commutation_table(self):
         e1, e2, e3 = so3_basis()
-        assert np.array_equal(commutator(e1, e2), e3)
-        assert np.array_equal(commutator(e2, e3), e1)
-        assert np.array_equal(commutator(e3, e1), e2)
+        assert np.array_equal(e1 @ e2 - e2 @ e1, e3)
+        assert np.array_equal(e2 @ e3 - e3 @ e2, e1)
+        assert np.array_equal(e3 @ e1 - e1 @ e3, e2)
 
     def test_antisymmetric(self):
         for e in so3_basis():
@@ -70,6 +71,13 @@ class TestBuildSpinRep:
         assert np.array_equal(rep.j_plus, np.array([[0.0, 0.0], [1.0, 0.0]], dtype=complex))
         assert np.array_equal(rep.j_minus, rep.j_plus.conj().T)
 
+    def test_carries_only_two_j_and_real_matrices_but_j2(self):
+        rep = build_spin_rep(2.5)
+        assert [field.name for field in dataclasses.fields(rep)] == ["two_j"]
+        for matrix in (rep.j_plus, rep.j_minus, rep.j3, rep.j1):
+            assert matrix.dtype == np.float64
+        assert rep.j2.dtype == np.complex128
+
     def test_trivial_representation(self):
         rep = build_spin_rep(0)
         assert rep.dim == 1
@@ -90,9 +98,10 @@ class TestBuildSpinRep:
     @pytest.mark.parametrize("j", [0.5, 1.0, 2.5, 10.0, 25.0])
     def test_commutation_relations(self, j):
         rep = build_spin_rep(j)
-        assert np.abs(commutator(rep.j3, rep.j_plus) - rep.j_plus).max() < 1e-12
-        assert np.abs(commutator(rep.j3, rep.j_minus) + rep.j_minus).max() < 1e-12
-        assert np.abs(commutator(rep.j_plus, rep.j_minus) - 2.0 * rep.j3).max() < 1e-12
+        j3, j_plus, j_minus = rep.j3, rep.j_plus, rep.j_minus
+        assert np.abs(j3 @ j_plus - j_plus @ j3 - j_plus).max() < 1e-12
+        assert np.abs(j3 @ j_minus - j_minus @ j3 + j_minus).max() < 1e-12
+        assert np.abs(j_plus @ j_minus - j_minus @ j_plus - 2.0 * j3).max() < 1e-12
 
     def test_repeated_raising_from_lowest_weight(self):
         # (J+)^{j+m} phi_{-j} = sqrt((j+m)! (2j)! / (j-m)!) phi_m
