@@ -291,6 +291,12 @@ def _infer_binomial(config: RunConfig, n: int, k: int) -> dict:
 # ---------------------------------------------------------------------------
 # verify
 
+# Levels `verify --trunc` accepts.  The ladder, bch and translation checks
+# hold several dense trunc x trunc matrices: `verify --check bch --trunc 2048`
+# peaks near 520 MB, and memory grows as trunc^2, so 4096 asks for about
+# 2 GB and 10**5 would ask for terabytes.
+_MAX_VERIFY_TRUNC = 4096
+
 
 def _fmt_complex(z: complex) -> str:
     return f"{z.real:g}{z.imag:+g}j"
@@ -429,6 +435,8 @@ def _check_identity(config: RunConfig) -> list[dict]:
 
 
 def _cmd_verify(config: RunConfig, check: str, alpha: complex) -> tuple[dict, int]:
+    if config.trunc is not None and config.trunc > _MAX_VERIFY_TRUNC:
+        raise UsageError(f"trunc {config.trunc} is past the limit of {_MAX_VERIFY_TRUNC} levels for verify")
     runners = {
         "example12": lambda: _check_example12(config),
         "ladder": lambda: _check_ladder(config),

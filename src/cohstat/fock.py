@@ -313,19 +313,23 @@ def coherent_via_exponential(alpha: complex, rep: FockSpace, tol: float = 1e-10)
 def bch_check(alpha: complex, rep: FockSpace) -> float:
     """Residual of exp(O1)exp(O2) = exp([O1,O2]/2) exp(O1+O2) on the vacuum.
 
-    O1 = alpha A+ and O2 = -conj(alpha) A.  Both sides are evaluated with
-    the matrix exponential, by independent routes: the single-band O1 and
-    O2 by their terminating power series, the real diagonal commutator entry
-    by entry, and the skew-Hermitian O1 + O2 through its spectrum.  The
-    residual is small only when the truncation is large enough for |alpha|,
-    so this doubles as a truncation probe.
+    O1 = alpha A+ and O2 = -conj(alpha) A, whose commutator is
+    -|alpha|^2 [A+, A], formed from the real ladder matrices.  Both sides
+    are evaluated with the matrix exponential, by independent routes: the
+    single-band O1 and O2 by their terminating power series, the real
+    diagonal commutator entry by entry, and the tridiagonal skew-Hermitian
+    O1 + O2 through the SVD of its even/odd block.  The residual is small
+    only when the truncation is large enough for |alpha|, so this doubles as
+    a truncation probe.
     """
     alpha = complex(alpha)
-    o1 = alpha * rep.creation
-    o2 = -np.conjugate(alpha) * rep.annihilation
+    annihilation = rep.annihilation
+    creation = annihilation.T
+    o1 = alpha * creation
+    o2 = -np.conjugate(alpha) * annihilation
     vacuum = _vacuum(rep.dim)
     lhs = matrix_exponential(o1) @ (matrix_exponential(o2) @ vacuum)
-    cross = o1 @ o2 - o2 @ o1
+    cross = -abs(alpha) ** 2 * (creation @ annihilation - annihilation @ creation)
     rhs = matrix_exponential(cross / 2.0) @ (matrix_exponential(o1 + o2) @ vacuum)
     return float(np.linalg.norm(lhs - rhs))
 

@@ -181,8 +181,14 @@ def spin_coherent_closed_form(rep: SpinRep, point: SpherePoint) -> CoherentState
 
 
 def rotation_matrix(rep: SpinRep, point: SpherePoint) -> np.ndarray:
-    """exp(i theta (sin g J1 - cos g J2)), the displacement to ``point``."""
-    generator = math.sin(point.gamma) * rep.j1 - math.cos(point.gamma) * rep.j2
+    """exp(i theta (sin g J1 - cos g J2)), the displacement to ``point``.
+
+    J+ is read once; J1 = (J+ + J-)/2 and J2 = (J+ - J-)/2i with J- = J+^T.
+    """
+    j_plus = rep.j_plus
+    j1 = (j_plus + j_plus.T) / 2.0
+    j2 = (j_plus - j_plus.T) / 2.0j
+    generator = math.sin(point.gamma) * j1 - math.cos(point.gamma) * j2
     return matrix_exponential(1j * point.theta * generator)
 
 
@@ -209,9 +215,11 @@ def gauss_decomposition_check(rep: SpinRep, point: SpherePoint) -> float:
 
     z = -tan(theta/2) e^{-i gamma}, eta = ln(1+|z|^2), z' = -conj(z).
     Both sides are computed independently with the matrix exponential: the
-    rotation's generator is skew-Hermitian and goes through its spectrum,
-    the single-band z J+ and z' J- through their terminating power series
-    and the diagonal eta J3 entry by entry.
+    rotation's generator is tridiagonal, skew-Hermitian and zero on the
+    diagonal, and goes through the SVD of its even/odd block; the
+    single-band z J+ and z' J- go through their terminating power series
+    and the diagonal eta J3 entry by entry.  The factors read J+ once and
+    take J- as its transpose.
     Raises ValueError when theta is too close to pi for tan(theta/2).
     """
     half = point.theta / 2.0
@@ -221,10 +229,11 @@ def gauss_decomposition_check(rep: SpinRep, point: SpherePoint) -> float:
     eta = math.log1p(abs(zeta) ** 2)
     zeta_prime = -np.conjugate(zeta)
     displacement = rotation_matrix(rep, point)
+    j_plus = rep.j_plus
     factored = (
-        matrix_exponential(zeta * rep.j_plus)
+        matrix_exponential(zeta * j_plus)
         @ matrix_exponential(eta * rep.j3)
-        @ matrix_exponential(zeta_prime * rep.j_minus)
+        @ matrix_exponential(zeta_prime * j_plus.T)
     )
     return float(np.linalg.norm(displacement - factored, 2))
 

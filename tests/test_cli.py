@@ -413,6 +413,24 @@ class TestVerifyCommand:
         assert main(["verify", "--check", "nonsense"]) == 2
         assert "unknown check" in capsys.readouterr().err
 
+    # dense trunc x trunc matrices at 10**6 levels would need terabytes: refused before any is built
+    @pytest.mark.parametrize("check", ["ladder", "bch", "translation"])
+    @pytest.mark.parametrize("trunc", [4097, 10**6])
+    def test_trunc_past_the_limit_is_a_usage_error(self, monkeypatch, capsys, check, trunc):
+        def refuse(dim):
+            raise AssertionError(f"a {dim}-level Fock space built for a refused trunc")
+
+        monkeypatch.setattr(cli.fock, "build_ladder", refuse)
+        assert main(["verify", "--check", check, "--trunc", str(trunc)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "limit of 4096 levels" in err
+        assert err.count("\n") == 1
+
+    def test_trunc_limit_admits_trunc_up_to_it(self, monkeypatch):
+        monkeypatch.setattr(cli, "_MAX_VERIFY_TRUNC", 16)
+        assert main(["verify", "--check", "ladder", "--trunc", "16", "--out", os.devnull]) == 0
+        assert main(["verify", "--check", "ladder", "--trunc", "17", "--out", os.devnull]) == 2
+
 
 class TestOutputFormats:
     def test_csv_family(self, tmp_path):
