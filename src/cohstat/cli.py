@@ -20,6 +20,7 @@ error.
 from __future__ import annotations
 
 import argparse
+import cmath
 import dataclasses
 import functools
 import json
@@ -437,6 +438,8 @@ def _check_identity(config: RunConfig) -> list[dict]:
 def _cmd_verify(config: RunConfig, check: str, alpha: complex) -> tuple[dict, int]:
     if config.trunc is not None and config.trunc > _MAX_VERIFY_TRUNC:
         raise UsageError(f"trunc {config.trunc} is past the limit of {_MAX_VERIFY_TRUNC} levels for verify")
+    if not cmath.isfinite(alpha):
+        raise UsageError(f"--alpha must be finite, got {alpha}")
     runners = {
         "example12": lambda: _check_example12(config),
         "ladder": lambda: _check_ladder(config),

@@ -9,17 +9,18 @@ states come from two routes that must agree: the closed-form expansion
 with coefficients e^{-|a|^2/2} a^k / sqrt(k!), and the displacement applied
 to the vacuum.  Its generator a*A+ - conj(a)*A equals -i|a| W S W*, with
 W = diag(e^{ik(arg a + pi/2)}) and the real tridiagonal S = A + A+, so
-displacements use the eigendecomposition of S, which depends only on the
-truncation (scipy.linalg.eigh_tridiagonal, imported only when a displacement
-is applied).  Squared coefficients are the Poisson(|a|^2) weights, which
-come from Loader's saddle-point form of the pmf in numpy; the same kernel
-gives the binomial weights in ``spin``.
+displacements use the eigendecomposition of S (numpy's eigh), which depends
+only on the truncation and is computed once per space.  Squared
+coefficients are the Poisson(|a|^2) weights, which come from Loader's
+saddle-point form of the pmf in numpy; the same kernel gives the binomial
+weights in ``spin``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -58,7 +59,9 @@ class FockSpace:
     Its ladder matrices are real and built when read: A phi_k = sqrt(k)
     phi_{k-1}, the creation matrix A+ is the transpose of A, and the number
     matrix is diagonal with entries 0..dim-1.  On the top basis vector A+
-    annihilates instead of raising (truncation).
+    annihilates instead of raising (truncation).  The eigenpairs of
+    A + A+, which every displacement on the space uses, are computed on
+    first read and kept.
     """
 
     dim: int
@@ -78,6 +81,12 @@ class FockSpace:
     @property
     def number(self) -> np.ndarray:
         return np.diag(np.arange(float(self.dim)))
+
+    @cached_property
+    def position_spectrum(self) -> tuple[np.ndarray, np.ndarray]:
+        """Eigenpairs of S = A + A+ (sqrt(2) times the truncated position operator)."""
+        a = self.annihilation
+        return np.linalg.eigh(a + a.T)
 
 
 def build_ladder(dim: int) -> FockSpace:
@@ -261,13 +270,6 @@ def coherent_closed_form(alpha: complex, space: FockSpace, tail_tol: float = DEF
     )
 
 
-def _position_spectrum(dim: int) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenpairs of S = A + A+ (sqrt(2) times the truncated position operator)."""
-    from scipy.linalg import eigh_tridiagonal  # deferred: slow to import, and family/infer never displace
-
-    return eigh_tridiagonal(np.zeros(dim), np.sqrt(np.arange(1.0, dim)))
-
-
 def _displace(alpha: complex, vec: np.ndarray, spectrum: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
     """exp(alpha A+ - conj(alpha) A) vec as W Q diag(e^{-i|alpha|lambda}) Q^T W* vec."""
     if not np.isfinite(alpha):
@@ -296,7 +298,7 @@ def coherent_via_exponential(alpha: complex, rep: FockSpace, tol: float = 1e-10)
         raise ValueError("tol must be positive")
     alpha = complex(alpha)
     closed = coherent_closed_form(alpha, rep, tail_tol=max(tol, DEFAULT_TAIL_TOL))
-    vec = _displace(alpha, _vacuum(rep.dim), _position_spectrum(rep.dim))
+    vec = _displace(alpha, _vacuum(rep.dim), rep.position_spectrum)
     distance = phase_aligned_distance(vec, closed.vector.vector)
     if distance > 10.0 * tol:
         raise TruncationError(
@@ -350,14 +352,14 @@ def displacement_translation_check(
     alpha = complex(alpha)
     beta = complex(beta)
     vacuum = _vacuum(rep.dim)
-    spectrum = _position_spectrum(rep.dim)
+    spectrum = rep.position_spectrum
     moved = _displace(beta, _displace(alpha, vacuum, spectrum), spectrum)
     direct = _displace(beta + alpha, vacuum, spectrum)
     overlap_c = np.vdot(direct, moved)
-    overlap = abs(overlap_c)
+    overlap = float(abs(overlap_c))
     if abs(overlap - 1.0) > overlap_tol:
         raise TruncationError(
             f"overlap {overlap!r} deviates from 1 beyond {overlap_tol:.1e}; "
             f"truncation {rep.dim} too small for |alpha|+|beta|={abs(alpha) + abs(beta):.3f}"
         )
-    return float(overlap), complex(overlap_c / overlap)
+    return overlap, complex(overlap_c / overlap)

@@ -10,7 +10,8 @@ the Gamma(n+1, 1) and Beta(k+1, n-k+1) posterior densities, which are also
 provided analytically for comparison.  Every rule is built on a numpy
 Gauss-Legendre rule (Halley's iteration on the Legendre recurrence) and the
 weights come from the numpy pmf kernel of ``fock``, so posteriors load no
-scipy; in the package only the ``verify`` checks do (scipy.linalg).
+scipy; in the package only the general fallback of
+``linops.matrix_exponential``, which no command reaches, imports it.
 """
 
 from __future__ import annotations

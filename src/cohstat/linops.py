@@ -4,15 +4,14 @@ Only what numpy does not give in one call lives here: a matrix
 exponential, a deterministic Hermitian eigendecomposition, and the
 distance between two vectors up to a global phase.  Adjoints, commutators
 and inner products are numpy expressions (``m.conj().T``, ``a @ b - b @ a``,
-``np.vdot``).  The exponential takes one of five routes, chosen from the
+``np.vdot``).  The exponential takes one of four routes, chosen from the
 structure of its input: a diagonal matrix (a truncated commutator, a weight
 factor) entry by entry, a single-band nilpotent matrix (a ladder factor) by
 its terminating power series, a zero-diagonal tridiagonal skew-Hermitian
 generator (of a displacement or a rotation) through the SVD of the half-size
-block that couples its even levels to its odd ones, any other skew-Hermitian
-matrix through the unitary diagonalization of its Hermitian partner, and
-every other matrix by scipy.linalg.expm.  All functions are pure and operate
-on plain numpy arrays.
+block that couples its even levels to its odd ones, and every other matrix
+by scipy.linalg.expm, which no matrix the package builds reaches.  All
+functions are pure and operate on plain numpy arrays.
 """
 
 from __future__ import annotations
@@ -106,17 +105,11 @@ def matrix_exponential(m) -> np.ndarray:
       only to odd ones, so exp(m) follows from the SVD of the
       ceil(d/2) x floor(d/2) block between them: a quarter of the matrix in
       place of a d x d eigendecomposition, unitary to rounding.
-    - Any other exactly skew-Hermitian m (m + m* == 0 entry for entry) is
-      normal, so with i m = V diag(w) V* from numpy's eigh,
-      exp(m) = V diag(e^{-iw}) V*, unitary to rounding and with no scaling
-      and squaring (the eigenvector method that Moler & Van Loan, "Nineteen
-      Dubious Ways", 2003, recommend for normal matrices).  expm is no
-      substitute here: on 2 x 2 skew-Hermitian inputs of norm 50 its
-      unitarity defect reaches 154 eps (worst of 5000 seeded inputs),
-      where this route stays within 50 eps.
-    - Every other input goes to scipy.linalg.expm (Al-Mohy & Higham 2009,
-      Pade scaling and squaring), accurate to double precision for any
-      matrix.
+    - Every other input, any other skew-Hermitian one included, goes to
+      scipy.linalg.expm (Al-Mohy & Higham 2009, Pade scaling and
+      squaring), accurate to double precision for any matrix.  Its result
+      for a skew-Hermitian input can miss unitarity by more than 100 eps
+      (154 eps at worst on 5000 seeded 2 x 2 inputs of norm 50).
 
     Each test is exact, on the entries themselves, so a matrix that only
     nearly has a structure stays on a later route.  exp(0) is the identity
@@ -136,9 +129,6 @@ def matrix_exponential(m) -> np.ndarray:
         return _exp_subdiagonal(upper).T  # exp(m) = exp(m^T)^T
     if nonzeros == upper_nonzeros + lower_nonzeros and np.array_equal(upper, -lower.conj()):
         return _exp_bipartite(m)
-    if not (m + m.conj().T).any():  # for finite x and y, x + y == 0 exactly when y == -x
-        w, v = np.linalg.eigh(1j * m)
-        return (v * np.exp(-1j * w)) @ v.conj().T
     from scipy.linalg import expm  # deferred: slow to import, and only a general input needs it
 
     return expm(m)

@@ -199,10 +199,10 @@ def born_probability(state: VectorState, pv: FinitePVMeasure, outcome: float) ->
     if state.dim != pv.dim:
         raise ValueError(f"dimension mismatch: state {state.dim}, measure {pv.dim}")
     idx = pv.outcome_index(outcome)
-    raw = np.vdot(state.vector, pv.projectors[idx] @ state.vector).real
+    raw = float(np.vdot(state.vector, pv.projectors[idx] @ state.vector).real)
     if raw < -_NEGATIVE_PROBABILITY_TOL:
         raise ValueError(f"projector expectation is {raw!r}, below rounding tolerance")
-    return float(min(1.0, max(0.0, raw)))
+    return min(1.0, max(0.0, raw))
 
 
 def born_probabilities(state: VectorState, pv: FinitePVMeasure) -> np.ndarray:

@@ -431,6 +431,37 @@ class TestVerifyCommand:
         assert main(["verify", "--check", "ladder", "--trunc", "16", "--out", os.devnull]) == 0
         assert main(["verify", "--check", "ladder", "--trunc", "17", "--out", os.devnull]) == 2
 
+    @pytest.mark.parametrize("alpha", ["nan", "inf", "-inf", "nan+1j", "1+infj"])
+    def test_non_finite_alpha_is_a_usage_error(self, monkeypatch, capsys, alpha):
+        def refuse(alpha, rep):
+            raise AssertionError(f"bch_check ran for a refused alpha {alpha}")
+
+        monkeypatch.setattr(cli.fock, "bch_check", refuse)
+        assert main(["verify", "--check", "bch", f"--alpha={alpha}"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "--alpha" in err
+        assert err.count("\n") == 1
+
+    # 3 levels are too few for the sampled displacements: the overlap is printed as a plain float
+    def test_translation_failure_message_shows_a_plain_overlap(self, capsys):
+        assert main(["verify", "--check", "translation", "--trunc", "3", "--out", os.devnull]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure: overlap 0.")
+        assert "np.float64" not in err
+
+    # the position spectrum is computed once per Fock space, not once per displacement
+    def test_translation_makes_one_eigendecomposition(self, monkeypatch):
+        calls = []
+
+        def counting(m):
+            calls.append(np.shape(m))
+            return eigh(m)
+
+        eigh = np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh", counting)
+        assert main(["verify", "--check", "translation", "--trunc", "128", "--out", os.devnull]) == 0
+        assert calls == [(128, 128)]
+
 
 class TestOutputFormats:
     def test_csv_family(self, tmp_path):
@@ -616,10 +647,10 @@ class TestImportPath:
         return self._fresh(code)
 
     def test_cli_import_loads_no_scipy(self):
-        # family and infer are numpy only; verify's translation check imports scipy.linalg
         code = "import sys, cohstat.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
         assert self._fresh(code) == "[]"
 
+    # every exponential the verify checks form has an exact route in linops, so none reaches expm
     @pytest.mark.parametrize(
         "argv",
         [
@@ -627,13 +658,14 @@ class TestImportPath:
             "family binomial --n 200 --p 0.3",
             "infer poisson --observed 200",
             "infer binomial --n 200 --k 77",
+            "verify --check all",
+            "verify --check translation --trunc 128",
+            "verify --check bch --alpha=3 --trunc 64",
+            "verify --check gauss",
+            "verify --check ladder",
+            "verify --check identity",
+            "verify --check example12",
         ],
     )
-    def test_family_and_infer_runs_load_no_scipy(self, argv):
-        assert self._scipy_modules_after(argv) == "[]"
-
-    # every factor of these two checks has an exact route in linops, so neither reaches expm;
-    # translation still loads scipy.linalg for eigh_tridiagonal and is not pinned
-    @pytest.mark.parametrize("argv", ["verify --check bch --alpha=3 --trunc 64", "verify --check gauss"])
-    def test_bch_and_gauss_load_no_scipy(self, argv):
+    def test_every_command_loads_no_scipy(self, argv):
         assert self._scipy_modules_after(argv) == "[]"
