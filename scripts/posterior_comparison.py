@@ -19,9 +19,9 @@ from cohstat.inference import (
     analytic_poisson_posterior,
     credible_interval,
     default_lambda_grid,
-    default_radial_cutoff,
     infer_via_pov,
     plane_quadrature,
+    radial_window,
     sphere_quadrature,
 )
 from cohstat.spin import build_spin_rep
@@ -32,7 +32,7 @@ BINOMIAL_CASES = ((1, 0), (2, 1), (10, 3), (30, 30))
 
 def poisson_case(n, n_r=200, n_angle=16):
     grid = default_lambda_grid(n)
-    rule = plane_quadrature(default_radial_cutoff(float(grid[-1])), n_r, n_angle)
+    rule = plane_quadrature(radial_window(n), n_r, n_angle)
     pov = infer_via_pov(n, FockCoherentFamily(max(64, n + 1)), rule, grid)
     analytic = analytic_poisson_posterior(n, grid)
     return pov, analytic

@@ -29,7 +29,7 @@ def main():
     print(f"{'cutoff':>8} {'n_r':>6} {'identity residual':>18} {'moment residual':>16}")
     for cutoff in (6.0, 8.0, 10.0, 12.0):
         for n_r in (25, 50, 100, 200):
-            rule = plane_quadrature(cutoff, n_r, n_angle)
+            rule = plane_quadrature((0.0, cutoff), n_r, n_angle)
             identity = resolution_of_identity_check(family, rule, n_basis=args.block)
             moments = plane_moment_residual(rule, args.block)
             print(f"{cutoff:8.1f} {n_r:6d} {identity:18.3e} {moments:16.3e}")

@@ -9,12 +9,12 @@ Each command builds ``rows`` as columns, a dict from row key to an
 equal-length list; the JSON document is exactly ``json.dumps(..., indent=2)``
 of the payload with ``rows`` in record form, one object per row.
 Config values of the wrong type, out of range or not finite are a
-configuration error naming the key.
+configuration error naming the key; ``infer`` reads no ``--trunc``.
 Exit codes: 0 success or all checks passing, 1 verification failure or
-numerical failure (a quadrature rule or parameter grid that does not resolve
-the distribution, a truncation too small for the displacement, a state or
-distribution that overflowed to non-finite values), 2 usage or configuration
-error.
+numerical failure (a quadrature rule, mass or parameter grid that does not
+resolve the distribution, a truncation too small for the displacement, a
+state or distribution that overflowed to non-finite values), 2 usage or
+configuration error.
 """
 
 from __future__ import annotations
@@ -40,9 +40,10 @@ SCHEMA_VERSION = 1
 
 _ROW_CUMULATIVE_STOP = 1e-12
 
-# Angle nodes of both plane rules: 65 = 2 * 32 + 1 covers every lag of the identity
-# check's 32-element block (m uniform nodes alias lag m onto lag 0); `infer poisson`
-# reads only the weight sum, 2 pi at any node count.
+# Nodes of both plane rules.  200 radial ones resolve `infer poisson`'s radial window at every
+# count; 65 = 2 * 32 + 1 angle ones cover every lag of the identity check's 32-element block (m
+# uniform nodes alias lag m onto lag 0), and `infer poisson` reads only their weight sum, 2 pi.
+_PLANE_RADIAL_NODES = 200
 _PLANE_ANGLE_NODES = 65
 
 VERIFY_CHECKS = ("ladder", "bch", "gauss", "identity", "translation", "example12")
@@ -67,7 +68,6 @@ class RunConfig:
     trunc: int | None = None
     tol: float | None = None
     tail_tol: float = 1e-12
-    n_r: int = 200
     lambda_points: int = 2001
     p_points: int = 1001
     mass_levels: tuple[float, ...] = (0.5, 0.9, 0.95)
@@ -124,7 +124,7 @@ def load_config(args: argparse.Namespace) -> RunConfig:
     return config
 
 
-_INT_KEYS = ("trunc", "n_r", "lambda_points", "p_points", "seed")
+_INT_KEYS = ("trunc", "lambda_points", "p_points", "seed")
 _OPTIONAL_KEYS = ("trunc", "tol")
 
 
@@ -144,7 +144,7 @@ def _validate_config(config: RunConfig) -> None:
             raise ConfigError(f"{name} must be a finite positive number, got {value!r}")
     if config.trunc is not None and config.trunc < 2:
         raise ConfigError(f"trunc must be at least 2, got {config.trunc!r}")
-    for name in ("n_r", "lambda_points", "p_points"):
+    for name in ("lambda_points", "p_points"):
         if getattr(config, name) < 2:
             raise ConfigError(f"{name} must be at least 2, got {getattr(config, name)!r}")
     for level in config.mass_levels:
@@ -263,13 +263,8 @@ def _infer_poisson(config: RunConfig, observed: int) -> dict:
     if not 0 <= observed < 2**63:
         raise UsageError(f"observed count must lie in [0, 2**63), got {observed!r}")
     grid = inference.default_lambda_grid(observed, config.lambda_points)
-    rule = inference.plane_quadrature(
-        inference.default_radial_cutoff(float(grid[-1])), config.n_r, _PLANE_ANGLE_NODES
-    )
-    dim = config.trunc if config.trunc is not None else max(64, observed + 1)
-    if dim <= observed:
-        raise UsageError(f"trunc {dim} must exceed the observed count {observed}")
-    pov = inference.infer_via_pov(observed, inference.FockCoherentFamily(dim), rule, grid)
+    rule = inference.plane_quadrature(inference.radial_window(observed), _PLANE_RADIAL_NODES, _PLANE_ANGLE_NODES)
+    pov = inference.infer_via_pov(observed, inference.FockCoherentFamily(observed + 1), rule, grid)
     analytic = inference.analytic_poisson_posterior(observed, grid)
     return _infer_payload(config, pov, analytic)
 
@@ -425,12 +420,12 @@ def _check_identity(config: RunConfig) -> list[dict]:
         family = inference.SpinCoherentFamily(spin.build_spin_rep(j))
         residual = inference.resolution_of_identity_check(family, inference.sphere_quadrature(j))
         rows.append(_verify_row("identity", f"spin j={j}", residual, _threshold(config, 1e-12)))
-    rule = inference.plane_quadrature(10.0, config.n_r, _PLANE_ANGLE_NODES)
+    rule = inference.plane_quadrature((0.0, 10.0), _PLANE_RADIAL_NODES, _PLANE_ANGLE_NODES)
     residual = inference.resolution_of_identity_check(
         inference.FockCoherentFamily(32), rule, n_basis=20
     )
     rows.append(
-        _verify_row("identity", f"plane trunc=32 cutoff=10 n_r={config.n_r}", residual, _threshold(config, 1e-8))
+        _verify_row("identity", f"plane trunc=32 cutoff=10 n_r={_PLANE_RADIAL_NODES}", residual, _threshold(config, 1e-8))
     )
     return rows
 
@@ -564,7 +559,7 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Coherent-state probability families and their inferred posteriors.",
     )
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--trunc", type=int, help="Fock truncation / basis size")
+    common.add_argument("--trunc", type=int, help="Fock truncation of family poisson, basis size of verify; infer ignores it")
     common.add_argument("--tol", type=float, help="residual threshold of every verify check; family and infer ignore it")
     common.add_argument("--out", help="output path (default: stdout)")
     common.add_argument("--format", choices=["json", "csv"], help="output format")

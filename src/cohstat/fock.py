@@ -201,11 +201,12 @@ def poisson_tail(lam: float, dim: int) -> float:
 
     Terms more than 10 standard deviations (plus 30 counts) from the mean
     are below 1e-20 of the tail and are left out, which bounds the sum at
-    about 20 sqrt(lam) + 60 terms even when ``dim`` lies below the mean.
+    about 20 sqrt(lam) + 60 terms; a ``dim`` below them has tail 1.0.
     """
     reach = 10.0 * math.sqrt(lam) + 30.0
-    first = max(dim, int(lam - reach))
-    return math.fsum(_poisson_weight(lam, np.arange(first, int(max(dim, lam) + reach) + 1)).tolist())
+    if dim < lam - reach:
+        return 1.0
+    return math.fsum(_poisson_weight(lam, np.arange(dim, int(max(dim, lam) + reach) + 1)).tolist())
 
 
 def poisson_pmf(alpha: complex, n: int) -> float:

@@ -7,11 +7,13 @@ this yields, for an observed basis state, a probability distribution on
 the parameter space.  Marginalizing the azimuthal angle and switching to
 the canonical scalar (lambda = r^2 or p = sin^2(theta/2)) must reproduce
 the Gamma(n+1, 1) and Beta(k+1, n-k+1) posterior densities, which are also
-provided analytically for comparison.  Every rule is built on a numpy
-Gauss-Legendre rule (Halley's iteration on the Legendre recurrence) and the
-weights come from the numpy pmf kernel of ``fock``, so posteriors load no
-scipy; in the package only the general fallback of
-``linops.matrix_exponential``, which no command reaches, imports it.
+provided analytically for comparison.  Both Poisson rules of a count n sit
+on ``radial_window(n)`` around its peak, so one rule size serves every n.
+Every rule is built on a numpy Gauss-Legendre rule (Halley's iteration on
+the Legendre recurrence) and the weights come from the numpy pmf kernel of
+``fock``, so posteriors load no scipy; in the package only the general
+fallback of ``linops.matrix_exponential``, which no command reaches,
+imports it.
 """
 
 from __future__ import annotations
@@ -38,12 +40,12 @@ __all__ = [
     "credible_interval",
     "default_lambda_grid",
     "default_p_grid",
-    "default_radial_cutoff",
     "infer_via_pov",
     "inferred_density_binomial",
     "inferred_density_poisson",
     "plane_moment_residual",
     "plane_quadrature",
+    "radial_window",
     "resolution_of_identity_check",
     "sphere_quadrature",
 ]
@@ -146,19 +148,20 @@ def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
     return nodes, weights * (2.0 / math.fsum(weights.tolist()))
 
 
-def plane_quadrature(radial_cutoff: float, n_r: int, n_angle: int) -> QuadratureRule:
+def plane_quadrature(radial_interval: tuple[float, float], n_r: int, n_angle: int) -> QuadratureRule:
     """Polar rule for the invariant plane measure (1/pi) r dr dangle.
 
-    Gauss-Legendre on r in [0, radial_cutoff] times a uniform periodic
-    rule on the angle.
+    Gauss-Legendre on r in ``radial_interval`` = (low, high), 0 <= low <
+    high, times a uniform periodic rule on the angle.
     """
-    if radial_cutoff <= 0:
-        raise ValueError(f"radial cutoff must be positive, got {radial_cutoff!r}")
+    low, high = radial_interval
+    if not 0 <= low < high:
+        raise ValueError(f"radial interval must satisfy 0 <= low < high, got {radial_interval!r}")
     if n_r < 2 or n_angle < 2:
         raise ValueError(f"node counts must be at least 2, got n_r={n_r}, n_angle={n_angle}")
     x, w = _gauss_legendre(n_r)
-    r = radial_cutoff * (x + 1.0) / 2.0
-    radial_weights = (radial_cutoff / 2.0) * w * r / math.pi
+    r = low + (high - low) * (x + 1.0) / 2.0
+    radial_weights = ((high - low) / 2.0) * w * r / math.pi
     angles = 2.0 * math.pi * np.arange(n_angle) / n_angle
     angle_weights = np.full(n_angle, 2.0 * math.pi / n_angle)
     return QuadratureRule(
@@ -357,7 +360,7 @@ class InferredDistribution:
             raise ValueError(f"unknown source {self.source!r}")
         mass_tol = _ANALYTIC_MASS_TOL if self.source == "analytic" else _PLANE_MASS_TOL
         if not abs(self.total_mass - 1.0) <= mass_tol:
-            raise ValueError(f"total mass {self.total_mass!r} deviates from 1 beyond {mass_tol:.1e}")
+            raise ResolutionError(f"total mass {self.total_mass!r} deviates from 1 beyond {mass_tol:.1e}")
         object.__setattr__(self, "grid", grid)
         object.__setattr__(self, "density", density)
 
@@ -371,9 +374,10 @@ def default_p_grid(points: int = 1001) -> np.ndarray:
     return np.linspace(0.0, 1.0, points)
 
 
-def default_radial_cutoff(lambda_max: float) -> float:
-    """Radius sqrt(lambda_max) + 8, placing the e^{-r^2} tail below 1e-14."""
-    return math.sqrt(lambda_max) + 8.0
+def radial_window(n: int) -> tuple[float, float]:
+    """Radii within 12 of sqrt(n), where e^{-r^2} r^{2n} peaks; at a distance d from sqrt(n)
+    the integrand is below e^{-d^2} of its peak whatever n, so one rule size serves every count."""
+    return max(0.0, math.sqrt(n) - 12.0), math.sqrt(n) + 12.0
 
 
 def inferred_density_poisson(n: int, lam) -> np.ndarray | float:
@@ -409,12 +413,8 @@ def _gauss_legendre_mass(density, low: float, high: float, nodes: int) -> float:
 def analytic_poisson_posterior(n: int, grid: np.ndarray | None = None) -> InferredDistribution:
     """Gamma(n+1, 1) posterior tabulated on the rate grid."""
     grid = default_lambda_grid(n) if grid is None else np.asarray(grid, dtype=float)
-    mass = _gauss_legendre_mass(
-        lambda lam: inferred_density_poisson(n, lam),
-        0.0,
-        n + 1 + 40.0 * math.sqrt(n + 1),
-        nodes=400,
-    )
+    low, high = radial_window(n)
+    mass = _gauss_legendre_mass(lambda lam: inferred_density_poisson(n, lam), low**2, high**2, nodes=200)
     return InferredDistribution(
         parameter="lambda",
         grid=grid,

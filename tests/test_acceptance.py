@@ -21,9 +21,9 @@ from cohstat.inference import (
     analytic_binomial_posterior,
     analytic_poisson_posterior,
     default_lambda_grid,
-    default_radial_cutoff,
     infer_via_pov,
     plane_quadrature,
+    radial_window,
     resolution_of_identity_check,
     sphere_quadrature,
 )
@@ -125,7 +125,7 @@ def test_criterion_5_resolution_of_identity():
     for j in (0.5, 1.0, 5.0):
         family = SpinCoherentFamily(build_spin_rep(j))
         spin_residual = max(spin_residual, resolution_of_identity_check(family, sphere_quadrature(j)))
-    plane_rule = plane_quadrature(10.0, 200, 65)
+    plane_rule = plane_quadrature((0.0, 10.0), 200, 65)
     plane_residual = resolution_of_identity_check(FockCoherentFamily(32), plane_rule, n_basis=20)
     report(
         5,
@@ -139,7 +139,7 @@ def test_criterion_6_inferred_posterior_equivalence():
     poisson_sup = poisson_mass_err = 0.0
     for n in (0, 1, 5, 20):
         grid = default_lambda_grid(n)
-        rule = plane_quadrature(default_radial_cutoff(float(grid[-1])), 200, 16)
+        rule = plane_quadrature(radial_window(n), 200, 16)
         pov = infer_via_pov(n, FockCoherentFamily(max(64, n + 1)), rule, grid)
         analytic = analytic_poisson_posterior(n, grid)
         poisson_sup = max(poisson_sup, float(np.abs(pov.density - analytic.density).max()))

@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -12,7 +13,7 @@ import pytest
 import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.stats import beta
+from scipy.stats import beta, gamma
 
 import cohstat
 from cohstat import cli, fock, spin
@@ -42,8 +43,8 @@ def read_back(text, like):
     return type(like)(text)
 
 
-# n_angle, n_theta and n_gamma are rule sizes, not settings: no value of them changes a result
-UNKNOWN_KEYS = {"truncK": 32, "n_angle": 65, "n_theta": 22, "n_gamma": 41}
+# n_r, n_angle, n_theta and n_gamma are rule sizes, not settings: no value of them changes a result
+UNKNOWN_KEYS = {"truncK": 32, "n_r": 200, "n_angle": 65, "n_theta": 22, "n_gamma": 41}
 
 
 def namespace(**kwargs):
@@ -57,15 +58,15 @@ class TestLoadConfig:
         config = load_config(namespace())
         assert config == RunConfig()
         assert config.trunc is None
-        assert config.n_r == 200
+        assert config.lambda_points == 2001
         assert config.format == "json"
 
     def test_file_overrides_defaults(self, tmp_path):
         path = tmp_path / "config.json"
-        path.write_text(json.dumps({"trunc": 32, "n_r": 120}))
+        path.write_text(json.dumps({"trunc": 32, "lambda_points": 120}))
         config = load_config(namespace(config=str(path)))
         assert config.trunc == 32
-        assert config.n_r == 120
+        assert config.lambda_points == 120
 
     def test_flag_overrides_file(self, tmp_path):
         path = tmp_path / "config.json"
@@ -114,6 +115,8 @@ class TestLoadConfig:
             (INFER_3, '{"n_angle": 65}', [], "n_angle", 0),
             (["infer", "binomial", "--n", "20", "--k", "7"], '{"n_theta": 22}', [], "n_theta", 0),
             (["infer", "binomial", "--n", "20", "--k", "7"], '{"n_gamma": 41}', [], "n_gamma", 0),
+            (INFER_3, '{"lambda_points": "abc"}', [], "lambda_points", 0),
+            (INFER_3, '{"lambda_points": null}', [], "lambda_points", 0),
         ],
     )
     def test_bad_value_exits_2(self, tmp_path, capsys, argv, config, flags, key, default_code):
@@ -298,13 +301,44 @@ class TestInferCommand:
         assert err.count("\n") == 1
         assert not out.exists()
 
-    def test_unresolved_quadrature_exits_1(self, tmp_path, capsys):
-        path = tmp_path / "config.json"
-        path.write_text(json.dumps({"n_r": 4}))
-        assert main(["infer", "poisson", "--observed", "3", "--config", str(path)]) == 1
+    def test_unresolved_quadrature_exits_1(self, monkeypatch, capsys):
+        monkeypatch.setattr(cli, "_PLANE_RADIAL_NODES", 4)
+        assert main(["infer", "poisson", "--observed", "3"]) == 1
         err = capsys.readouterr().err
         assert err.startswith("numerical failure: quadrature mass")
         assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("observed", [2100, 20000, 10**5, 10**6])
+    def test_large_counts_match_gamma(self, tmp_path, observed):
+        # the radial rule sits on the window of the count, so its size does not grow with it
+        start = time.perf_counter()
+        code, payload = run_json(tmp_path, ["infer", "poisson", "--observed", str(observed)])
+        assert time.perf_counter() - start < 1.0
+        assert code == 0
+        parameter = np.array([row["parameter"] for row in payload["rows"]])
+        density = np.array([row["density_pov"] for row in payload["rows"]])
+        assert np.abs(density - gamma.pdf(parameter, observed + 1)).max() < 1e-8
+        footer = payload["footer"]
+        assert abs(footer["total_mass_pov"] - 1.0) < 1e-12
+        assert abs(footer["total_mass_analytic"] - 1.0) < 1e-12
+
+    def test_analytic_mass_past_double_precision_exits_1(self, tmp_path, capsys):
+        # at 10**14 the analytic Gamma mass misses 1 by 3e-10, past its 1e-10 tolerance: a numerical failure
+        out = tmp_path / "out.json"
+        assert main(["infer", "poisson", "--observed", str(10**14), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure: total mass") and err.count("\n") == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("trunc", ["2", "70"])
+    def test_poisson_inference_reads_no_truncation(self, tmp_path, trunc):
+        code, reference = run_json(tmp_path, INFER_3, name="reference.json")
+        assert code == 0
+        code, payload = run_json(tmp_path, [*INFER_3, "--trunc", trunc])
+        assert code == 0
+        assert payload["config"].pop("trunc") == int(trunc)
+        reference["config"].pop("trunc")
+        assert payload == reference
 
     @pytest.mark.parametrize("n", [8000, 16000])
     def test_unresolved_credible_interval_exits_1(self, tmp_path, capsys, n):

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -133,6 +134,18 @@ class TestCoherentClosedForm:
     def test_tail_against_brute_force_sum(self):
         brute = 1.0 - sum(poisson_pmf(1.0, n) for n in range(10))
         assert poisson_tail(1.0, 10) == pytest.approx(brute, abs=1e-12)
+
+    def test_tail_far_below_the_mean_sums_nothing(self):
+        # 64 levels lie about 10**5 standard deviations below the mean 1e10: the tail is 1.0 in double
+        # precision, and summing the 2 * 10**6 terms around the mean took seconds and hundreds of MiB
+        tracemalloc.start()
+        try:
+            tail = poisson_tail(1e10, 64)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert tail == 1.0
+        assert peak < 2**20
 
     def test_default_truncation_bounds_tail(self):
         for alpha in (0.3, 1.0, 3.0):

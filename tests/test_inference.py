@@ -20,12 +20,12 @@ from cohstat.inference import (
     credible_interval,
     default_lambda_grid,
     default_p_grid,
-    default_radial_cutoff,
     infer_via_pov,
     inferred_density_binomial,
     inferred_density_poisson,
     plane_moment_residual,
     plane_quadrature,
+    radial_window,
     resolution_of_identity_check,
     sphere_quadrature,
 )
@@ -43,23 +43,24 @@ def basis_state(dim, k):
 
 class TestPlaneQuadrature:
     def test_constant_integrates_to_squared_radius(self):
-        rule = plane_quadrature(2.0, 40, 8)
+        rule = plane_quadrature((0.0, 2.0), 40, 8)
         assert rule.weights.sum() == pytest.approx(4.0, rel=1e-13)
 
     def test_gaussian_normalization(self):
-        rule = plane_quadrature(12.0, 200, 16)
+        rule = plane_quadrature((0.0, 12.0), 200, 16)
         r = rule.nodes[:, 0]
         assert np.sum(rule.weights * np.exp(-r * r)) == pytest.approx(1.0, abs=1e-13)
 
     def test_gaussian_moments(self):
-        rule = plane_quadrature(12.0, 200, 8)
+        rule = plane_quadrature((0.0, 12.0), 200, 8)
         assert plane_moment_residual(rule, 20) < 1e-10
 
     def test_rejects_bad_arguments(self):
-        with pytest.raises(ValueError, match="cutoff"):
-            plane_quadrature(0.0, 10, 10)
+        for interval in ((0.0, 0.0), (2.0, 1.0), (-1.0, 1.0)):
+            with pytest.raises(ValueError, match="radial interval"):
+                plane_quadrature(interval, 10, 10)
         with pytest.raises(ValueError, match="node counts"):
-            plane_quadrature(1.0, 1, 10)
+            plane_quadrature((0.0, 1.0), 1, 10)
 
 
 class TestSphereQuadrature:
@@ -106,7 +107,7 @@ class TestResolutionOfIdentity:
         assert resolution_of_identity_check(SpinCoherentFamily(build_spin_rep(5.0)), sphere_quadrature(5.0)) < 1e-12
 
     def test_plane_leading_block(self):
-        rule = plane_quadrature(10.0, 200, 65)
+        rule = plane_quadrature((0.0, 10.0), 200, 65)
         assert resolution_of_identity_check(FockCoherentFamily(32), rule, n_basis=20) < 1e-8
 
     def test_rejects_mismatched_kind(self):
@@ -114,7 +115,7 @@ class TestResolutionOfIdentity:
             resolution_of_identity_check(FockCoherentFamily(8), sphere_quadrature(1.0))
 
     def test_rejects_bad_block(self):
-        rule = plane_quadrature(10.0, 50, 17)
+        rule = plane_quadrature((0.0, 10.0), 50, 17)
         with pytest.raises(ValueError, match="n_basis"):
             resolution_of_identity_check(FockCoherentFamily(8), rule, n_basis=9)
 
@@ -122,27 +123,27 @@ class TestResolutionOfIdentity:
 class TestCoherentTransform:
     def test_vacuum_transform_is_gaussian(self):
         family = FockCoherentFamily(16)
-        rule = plane_quadrature(8.0, 60, 12)
+        rule = plane_quadrature((0.0, 8.0), 60, 12)
         values = coherent_transform(basis_state(16, 0), family, rule)
         lam = rule.nodes[:, 0] ** 2
         assert np.abs(np.abs(values) ** 2 - np.exp(-lam)).max() < 1e-15
 
     def test_isometry_on_basis_states(self):
         family = FockCoherentFamily(32)
-        rule = plane_quadrature(10.0, 200, 65)
+        rule = plane_quadrature((0.0, 10.0), 200, 65)
         for n in (0, 3, 11, 19):
             values = coherent_transform(basis_state(32, n), family, rule)
             assert np.sum(rule.weights * np.abs(values) ** 2) == pytest.approx(1.0, abs=1e-8)
 
     def test_orthogonality_preserved(self):
         family = FockCoherentFamily(32)
-        rule = plane_quadrature(10.0, 200, 65)
+        rule = plane_quadrature((0.0, 10.0), 200, 65)
         first = coherent_transform(basis_state(32, 2), family, rule)
         second = coherent_transform(basis_state(32, 7), family, rule)
         assert abs(np.sum(rule.weights * first.conj() * second)) < 1e-8
 
     def test_rejects_dimension_mismatch(self):
-        rule = plane_quadrature(8.0, 40, 9)
+        rule = plane_quadrature((0.0, 8.0), 40, 9)
         with pytest.raises(ValueError, match="dimension mismatch"):
             coherent_transform(basis_state(4, 0), FockCoherentFamily(8), rule)
 
@@ -150,7 +151,7 @@ class TestCoherentTransform:
 class TestInferViaPov:
     def test_poisson_vacuum_posterior_is_exponential(self):
         grid = np.linspace(0.0, 11.0, 1101)  # unit rate is a grid node
-        rule = plane_quadrature(default_radial_cutoff(grid[-1]), 200, 16)
+        rule = plane_quadrature(radial_window(0), 200, 16)
         dist = infer_via_pov(0, FockCoherentFamily(16), rule, grid)
         assert np.abs(dist.density - np.exp(-grid)).max() < 1e-12
         segment = grid <= 1.0
@@ -171,7 +172,7 @@ class TestInferViaPov:
 
     def test_angular_slices_agree(self):
         family = FockCoherentFamily(16)
-        rule = plane_quadrature(10.0, 50, 9)
+        rule = plane_quadrature((0.0, 10.0), 50, 9)
         slices = np.abs(family.amplitude_at(3, np.array([0.7, 1.9]), rule.angle_nodes)) ** 2
         assert np.abs(slices - slices[:, :1]).max() < 1e-12
 
@@ -180,7 +181,7 @@ class TestInferViaPov:
     def test_pov_box_masses_are_nonnegative(self, seed):
         rng = np.random.default_rng(seed)
         family = FockCoherentFamily(12)
-        rule = plane_quadrature(8.0, 50, 9)
+        rule = plane_quadrature((0.0, 8.0), 50, 9)
         state = VectorState(random_unit_vector(rng, 12))
         values = np.abs(coherent_transform(state, family, rule)) ** 2
         r = rule.nodes[:, 0]
@@ -189,12 +190,12 @@ class TestInferViaPov:
         assert np.sum(rule.weights[box] * values[box]) >= 0.0
 
     def test_rejects_bad_observed_index(self):
-        rule = plane_quadrature(8.0, 50, 9)
+        rule = plane_quadrature((0.0, 8.0), 50, 9)
         with pytest.raises(ValueError, match="observed index"):
             infer_via_pov(40, FockCoherentFamily(16), rule)
 
     def test_rejects_insufficient_quadrature(self):
-        rule = plane_quadrature(1.5, 50, 9)
+        rule = plane_quadrature((0.0, 1.5), 50, 9)
         with pytest.raises(ValueError, match="quadrature mass"):
             infer_via_pov(2, FockCoherentFamily(16), rule)
 
@@ -212,10 +213,10 @@ class TestAngleRuleSize:
     def test_plane_angle_nodes(self, observed):
         family = FockCoherentFamily(max(64, observed + 1))
         grid = default_lambda_grid(observed)
-        cutoff = default_radial_cutoff(grid[-1])
-        reference = infer_via_pov(observed, family, plane_quadrature(cutoff, 200, 65), grid)
+        window = radial_window(observed)
+        reference = infer_via_pov(observed, family, plane_quadrature(window, 200, 65), grid)
         for n_angle in (2, 16, 65, 1000):
-            dist = infer_via_pov(observed, family, plane_quadrature(cutoff, 200, n_angle), grid)
+            dist = infer_via_pov(observed, family, plane_quadrature(window, 200, n_angle), grid)
             self.assert_same_posterior(dist, reference)
 
     @pytest.mark.parametrize("n, k", [(1, 0), (14, 4), (20, 7), (41, 13), (200, 66)])
@@ -270,7 +271,7 @@ class TestSeparableAmplitudes:
         family = FockCoherentFamily(20)
         for observed in (0, 3, 11, 19):
             grid = default_lambda_grid(observed)
-            rule = plane_quadrature(default_radial_cutoff(grid[-1]), 200, 16)
+            rule = plane_quadrature(radial_window(observed), 200, 16)
             dense, mass = dense_posterior(observed, family, rule, grid)
             dist = infer_via_pov(observed, family, rule, grid)
             np.testing.assert_allclose(dist.density, dense, rtol=1e-13, atol=np.finfo(float).tiny)
@@ -286,7 +287,7 @@ class TestSeparableAmplitudes:
 
     def test_plane_identity_matches_dense_gram(self):
         family = FockCoherentFamily(32)
-        rule = plane_quadrature(10.0, 200, 65)
+        rule = plane_quadrature((0.0, 10.0), 200, 65)
         residual = resolution_of_identity_check(family, rule, n_basis=20)
         assert abs(residual - dense_identity_residual(family, rule, 20)) < 1e-13
 
@@ -312,7 +313,7 @@ class TestSeparableAmplitudes:
         assert peak < 16 * 2**20
 
     def test_unresolved_rule_raises_resolution_error(self):
-        rule = plane_quadrature(1.5, 50, 9)
+        rule = plane_quadrature((0.0, 1.5), 50, 9)
         with pytest.raises(ResolutionError, match="quadrature mass"):
             infer_via_pov(2, FockCoherentFamily(16), rule)
 
@@ -373,6 +374,25 @@ class TestAnalyticDensities:
             assert inferred_density_binomial(5, k, p) == 6.0 * binomial_pmf(rep, point, m)
 
 
+class TestRadialWindow:
+    def test_window_is_centred_on_the_peak(self):
+        assert radial_window(0) == (0.0, 12.0)
+        assert radial_window(100) == (0.0, 22.0)
+        assert radial_window(400) == (8.0, 32.0)
+        assert radial_window(10**6) == (988.0, 1012.0)
+
+    @given(log_count=st.floats(0.0, math.log1p(4e6)))
+    @settings(max_examples=40, deadline=None)
+    def test_window_rule_resolves_every_count(self, log_count):
+        # the e^{-r^2} r^{2n} peak has the same width at every n, so 200 nodes on the window serve every count
+        n = int(math.expm1(log_count))
+        grid = default_lambda_grid(n, 11)
+        pov = infer_via_pov(n, FockCoherentFamily(n + 1), plane_quadrature(radial_window(n), 200, 2), grid)
+        analytic = analytic_poisson_posterior(n, grid)
+        assert abs(pov.total_mass - 1.0) < 1e-12
+        assert abs(analytic.total_mass - 1.0) < 1e-12
+
+
 class TestInferredDistributionValidation:
     def test_rejects_negative_density(self):
         with pytest.raises(ValueError, match="nonnegative"):
@@ -385,6 +405,12 @@ class TestInferredDistributionValidation:
     def test_rejects_wrong_mass(self):
         with pytest.raises(ValueError, match="total mass"):
             InferredDistribution("p", np.array([0.0, 1.0]), np.array([1.0, 1.0]), 0.9, "analytic")
+
+    def test_wrong_mass_is_a_resolution_error(self):
+        # a mass that misses 1 is a numerical failure (CLI exit 1), not a bad argument
+        for source in ("analytic", "pov-quadrature"):
+            with pytest.raises(ResolutionError, match="total mass"):
+                InferredDistribution("p", np.array([0.0, 1.0]), np.array([1.0, 1.0]), 0.9, source)
 
     def test_rejects_unknown_source(self):
         with pytest.raises(ValueError, match="source"):
