@@ -29,7 +29,6 @@ from .inference import (
     SpinCoherentFamily,
     analytic_binomial_posterior,
     analytic_poisson_posterior,
-    coherent_transform,
     credible_interval,
     infer_via_pov,
     inferred_density_binomial,
@@ -48,24 +47,19 @@ from .pv_measure import (
     FinitePVMeasure,
     NonFiniteError,
     Observable,
-    StateOperator,
     VectorState,
     born_probabilities,
     born_probability,
     example_family_states,
-    expectation_trace,
     gaussian_position_probability,
     pv_from_observable,
 )
 from .spin import (
-    BinomialMap,
     CoherentStateSpin,
     SpherePoint,
     SpinRep,
-    binomial_map,
     binomial_pmf,
     build_spin_rep,
-    coset_element,
     gauss_decomposition_check,
     so3_basis,
     sphere_point_for_probability,

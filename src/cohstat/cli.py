@@ -14,7 +14,7 @@ Exit codes: 0 success or all checks passing, 1 verification failure or
 numerical failure (a quadrature rule, mass or parameter grid that does not
 resolve the distribution, a truncation too small for the displacement, a
 state or distribution that overflowed to non-finite values), 2 usage or
-configuration error.
+configuration error, an output that cannot be written among them.
 """
 
 from __future__ import annotations
@@ -32,7 +32,14 @@ from pathlib import Path
 import numpy as np
 
 from . import fock, inference, spin
-from .pv_measure import NonFiniteError, Observable, VectorState, born_probabilities, pv_from_observable
+from .pv_measure import (
+    NonFiniteError,
+    Observable,
+    VectorState,
+    born_probabilities,
+    example_family_states,
+    pv_from_observable,
+)
 
 __all__ = ["ConfigError", "RunConfig", "UsageError", "load_config", "main"]
 
@@ -47,6 +54,13 @@ _PLANE_RADIAL_NODES = 200
 _PLANE_ANGLE_NODES = 65
 
 VERIFY_CHECKS = ("ladder", "bch", "gauss", "identity", "translation", "example12")
+
+# Rows a table may have: `family` outcomes, or `infer` grid points (`lambda_points`, `p_points`).
+# A `family` row costs about 470 bytes on its way to the output (pmf and amplitude arrays, column
+# lists, rendered text), so 2**22 rows is about 2 GB; `family poisson --lambda 1e6` builds
+# 1,012,001 rows in about 505 MB.  An `infer` row costs about 780 bytes (`infer poisson --observed
+# 50` on 262,144 grid points peaks at 238 MB), so 2**22 grid points is about 3.3 GB.
+_MAX_FAMILY_ROWS = 2**22
 
 
 class ConfigError(Exception):
@@ -169,17 +183,10 @@ def _payload(command: str, config: RunConfig, rows: dict[str, list], footer: dic
 # ---------------------------------------------------------------------------
 # family
 
-# Rows a `family` table may have.  A row costs about 470 bytes on its way to
-# the output (pmf and amplitude arrays, column lists, rendered text), so 2**22
-# rows is about 2 GB; `family poisson --lambda 1e6` builds 1,012,001 rows in
-# about 505 MB.
-_MAX_FAMILY_ROWS = 2**22
-
-
-def _check_family_rows(rows: int, what: str) -> None:
+def _check_table_rows(rows: int, what: str, error: type[Exception] = UsageError) -> None:
     """Refuse a table of more than _MAX_FAMILY_ROWS rows, before any array is built."""
     if rows > _MAX_FAMILY_ROWS:
-        raise UsageError(f"{what} needs a table of {rows} rows, past the limit of {_MAX_FAMILY_ROWS} rows")
+        raise error(f"{what} needs a table of {rows} rows, past the limit of {_MAX_FAMILY_ROWS} rows")
 
 
 def _family_poisson(config: RunConfig, lam: float) -> dict:
@@ -191,7 +198,7 @@ def _family_poisson(config: RunConfig, lam: float) -> dict:
     trunc = config.trunc if config.trunc is not None else fock.default_truncation(alpha)
     if trunc >= 2**63:  # levels index numpy int64 arrays
         raise UsageError(f"truncation {trunc} for lambda={lam!r} is past the int64 limit 2**63 - 1")
-    _check_family_rows(trunc, f"truncation {trunc} for lambda={lam!r}")
+    _check_table_rows(trunc, f"truncation {trunc} for lambda={lam!r}")
     state = fock.coherent_closed_form(alpha, fock.FockSpace(trunc), tail_tol=config.tail_tol)
     # rows stop at the first outcome whose cumulative pmf reaches 1 - _ROW_CUMULATIVE_STOP;
     # the rate is alpha**2, the one fock.poisson_pmf(alpha, n) sees, not lam itself
@@ -216,7 +223,7 @@ def _family_binomial(config: RunConfig, n: int, p: float) -> dict:
         raise UsageError(f"n must lie in [0, 2**63 - 1): its n + 1 outcomes must stay within the int64 limit, got {n!r}")
     if not 0.0 <= p < 1.0:
         raise UsageError(f"p must lie in [0, 1), got {p!r}")
-    _check_family_rows(n + 1, f"n={n!r}")
+    _check_table_rows(n + 1, f"n={n!r}")
     rep = spin.build_spin_rep(n / 2.0)
     point = spin.sphere_point_for_probability(p)
     state = spin.spin_coherent_closed_form(rep, point)
@@ -262,6 +269,7 @@ def _infer_poisson(config: RunConfig, observed: int) -> dict:
         raise UsageError("poisson inference requires --observed")
     if not 0 <= observed < 2**63:
         raise UsageError(f"observed count must lie in [0, 2**63), got {observed!r}")
+    _check_table_rows(config.lambda_points, "lambda_points", ConfigError)
     grid = inference.default_lambda_grid(observed, config.lambda_points)
     rule = inference.plane_quadrature(inference.radial_window(observed), _PLANE_RADIAL_NODES, _PLANE_ANGLE_NODES)
     pov = inference.infer_via_pov(observed, inference.FockCoherentFamily(observed + 1), rule, grid)
@@ -276,9 +284,10 @@ def _infer_binomial(config: RunConfig, n: int, k: int) -> dict:
         raise UsageError(f"need 0 <= k <= n < 2**63, got n={n!r}, k={k!r}")
     if n > _MAX_INFER_BINOMIAL_N:
         raise UsageError(f"n={n!r} is past the limit of {_MAX_INFER_BINOMIAL_N} trials for binomial inference")
+    _check_table_rows(config.p_points, "p_points", ConfigError)
+    grid = inference.default_p_grid(config.p_points)
     rep = spin.build_spin_rep(n / 2.0)
     rule = inference.sphere_quadrature(rep.j)
-    grid = inference.default_p_grid(config.p_points)
     pov = inference.infer_via_pov(k, inference.SpinCoherentFamily(rep), rule, grid)
     analytic = inference.analytic_binomial_posterior(n, k, grid)
     return _infer_payload(config, pov, analytic)
@@ -317,7 +326,8 @@ def _check_example12(config: RunConfig) -> list[dict]:
     rows = []
     cases = {
         "xi": (VectorState.from_unnormalized([1.0, 2.0, 3.0j]), np.array([1, 4, 9]) / 14.0),
-        "psi0": (VectorState(np.array([-1.0j, math.sqrt(2.0), 1.0j]) / 2.0), np.array([1, 2, 1]) / 4.0),
+        # (-i, sqrt 2, i) / 2, the family's state at beta = theta = pi/2
+        "psi0": (example_family_states(math.pi / 2.0, math.pi / 2.0), np.array([1, 2, 1]) / 4.0),
     }
     for name, (state, exact) in cases.items():
         probs = born_probabilities(state, pv)
@@ -401,7 +411,8 @@ def _check_translation(config: RunConfig) -> list[dict]:
             for _ in range(2)
         )
         overlap, phase = fock.displacement_translation_check(alpha, beta, rep)
-        expected = np.exp(1j * (beta * np.conjugate(alpha)).imag)
+        # D(beta) D(alpha) = e^{is} D(alpha + beta), s the central part of the product (0; beta)(0; alpha)
+        expected = np.exp(1j * fock.wh_multiply(fock.WHGroupElement(0.0, beta), fock.WHGroupElement(0.0, alpha)).s)
         residual = max(abs(overlap - 1.0), abs(phase - expected))
         rows.append(
             _verify_row(
@@ -615,7 +626,11 @@ def main(argv=None) -> int:
     except (UsageError, ValueError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    _emit(payload, config)
+    try:
+        _emit(payload, config)
+    except OSError as exc:
+        print(f"error: cannot write output to {config.out or 'stdout'}: {exc}", file=sys.stderr)
+        return 2
     return code
 
 

@@ -46,6 +46,13 @@ __all__ = [
 ]
 
 DEFAULT_TAIL_TOL = 1e-12
+# Largest phase-aligned distance allowed between the exponential and closed-form routes to a
+# coherent state (here and in ``spin``), and the tail mass the exponential route's closed form
+# may discard.
+_ROUTE_LIMIT = 1e-9
+_ROUTE_TAIL_TOL = 1e-10
+# Largest deviation from 1 of the translation check's overlap.
+_OVERLAP_TOL = 1e-8
 
 
 class TruncationError(RuntimeError):
@@ -289,22 +296,21 @@ def _vacuum(dim: int) -> np.ndarray:
     return vec
 
 
-def coherent_via_exponential(alpha: complex, rep: FockSpace, tol: float = 1e-10) -> CoherentStateWH:
+def coherent_via_exponential(alpha: complex, rep: FockSpace) -> CoherentStateWH:
     """Coherent state from the displacement exponential applied to the vacuum.
 
-    Cross-validates against the closed form: raises TruncationError when the
-    two routes disagree by more than 10*tol up to a global phase.
+    Cross-validates against the closed form, built with tail tolerance
+    _ROUTE_TAIL_TOL: raises TruncationError when the two routes disagree
+    by more than _ROUTE_LIMIT up to a global phase.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
     alpha = complex(alpha)
-    closed = coherent_closed_form(alpha, rep, tail_tol=max(tol, DEFAULT_TAIL_TOL))
+    closed = coherent_closed_form(alpha, rep, tail_tol=_ROUTE_TAIL_TOL)
     vec = _displace(alpha, _vacuum(rep.dim), rep.position_spectrum)
     distance = phase_aligned_distance(vec, closed.vector.vector)
-    if distance > 10.0 * tol:
+    if distance > _ROUTE_LIMIT:
         raise TruncationError(
             f"exponential route differs from the closed form by {distance:.3e} "
-            f"(limit {10.0 * tol:.1e}); truncation {rep.dim} too small for |alpha|={abs(alpha):.3f}"
+            f"(limit {_ROUTE_LIMIT:.1e}); truncation {rep.dim} too small for |alpha|={abs(alpha):.3f}"
         )
     return CoherentStateWH(
         alpha=alpha,
@@ -337,18 +343,13 @@ def bch_check(alpha: complex, rep: FockSpace) -> float:
     return float(np.linalg.norm(lhs - rhs))
 
 
-def displacement_translation_check(
-    alpha: complex,
-    beta: complex,
-    rep: FockSpace,
-    overlap_tol: float = 1e-8,
-) -> tuple[float, complex]:
+def displacement_translation_check(alpha: complex, beta: complex, rep: FockSpace) -> tuple[float, complex]:
     """Check that displacement by beta translates the state at alpha to alpha+beta.
 
     Returns (overlap, phase) where overlap = |<v(alpha+beta), D(beta) v(alpha)>|
     and phase is the unit-modulus factor of that inner product, which should
-    equal e^{i Im(beta conj(alpha))}.  Raises TruncationError when the overlap
-    deviates from 1 by more than ``overlap_tol``.
+    equal e^{i Im(beta conj(alpha))}, the twist of ``wh_multiply``.  Raises
+    TruncationError when the overlap deviates from 1 by more than _OVERLAP_TOL.
     """
     alpha = complex(alpha)
     beta = complex(beta)
@@ -358,9 +359,9 @@ def displacement_translation_check(
     direct = _displace(beta + alpha, vacuum, spectrum)
     overlap_c = np.vdot(direct, moved)
     overlap = float(abs(overlap_c))
-    if abs(overlap - 1.0) > overlap_tol:
+    if abs(overlap - 1.0) > _OVERLAP_TOL:
         raise TruncationError(
-            f"overlap {overlap!r} deviates from 1 beyond {overlap_tol:.1e}; "
+            f"overlap {overlap!r} deviates from 1 beyond {_OVERLAP_TOL:.1e}; "
             f"truncation {rep.dim} too small for |alpha|+|beta|={abs(alpha) + abs(beta):.3f}"
         )
     return overlap, complex(overlap_c / overlap)

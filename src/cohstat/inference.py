@@ -25,7 +25,7 @@ from typing import Union
 import numpy as np
 
 from . import fock, spin
-from .pv_measure import NonFiniteError, VectorState
+from .pv_measure import NonFiniteError
 from .spin import SpinRep
 
 __all__ = [
@@ -36,7 +36,6 @@ __all__ = [
     "SpinCoherentFamily",
     "analytic_binomial_posterior",
     "analytic_poisson_posterior",
-    "coherent_transform",
     "credible_interval",
     "default_lambda_grid",
     "default_p_grid",
@@ -173,22 +172,17 @@ def plane_quadrature(radial_interval: tuple[float, float], n_r: int, n_angle: in
     )
 
 
-def sphere_quadrature(j, n_theta: int | None = None, n_gamma: int | None = None) -> QuadratureRule:
+def sphere_quadrature(j) -> QuadratureRule:
     """Rule for the invariant sphere measure ((2j+1)/4pi) sin(theta) dtheta dgamma.
 
-    Gauss-Legendre in cos(theta) times a uniform rule in gamma.  The node
-    counts must resolve the degree-2j integrands of the spin-j family:
-    n_theta >= 2j+2, and n_gamma >= 2j+1 because the angle integrands
-    e^{-i(k-l)gamma} have lags |k-l| <= 2j, none of which a uniform rule of
-    2j+1 or more nodes aliases onto lag 0.  The defaults are 2j+2 and 4j+1.
+    Gauss-Legendre in cos(theta) on 2j+2 nodes times a uniform rule in
+    gamma on 4j+1 nodes.  These counts resolve the degree-2j integrands of
+    the spin-j family: the polar rule needs at least 2j+2 nodes, and the
+    angle integrands e^{-i(k-l)gamma} have lags |k-l| <= 2j, none of which
+    a uniform rule of 2j+1 or more nodes aliases onto lag 0.
     """
     two_j = spin._as_two_j(j)
-    n_theta = two_j + 2 if n_theta is None else n_theta
-    n_gamma = 2 * two_j + 1 if n_gamma is None else n_gamma
-    if n_theta < two_j + 2:
-        raise ValueError(f"need n_theta >= {two_j + 2} for j={two_j / 2}, got {n_theta}")
-    if n_gamma < two_j + 1:
-        raise ValueError(f"need n_gamma >= {two_j + 1} for j={two_j / 2}, got {n_gamma}")
+    n_theta, n_gamma = two_j + 2, 2 * two_j + 1
     u, w = _gauss_legendre(n_theta)
     theta = np.arccos(u)[::-1].copy()
     theta_weights = w[::-1] * (two_j + 1.0) / (4.0 * math.pi)
@@ -313,21 +307,6 @@ def resolution_of_identity_check(
     angle_sums = np.exp(family.phase_sign * 1j * np.multiply.outer(lags, rule.angle_nodes)) @ rule.angle_weights
     gram = principal_gram * angle_sums[np.subtract.outer(k, k) + n_basis - 1]
     return float(np.abs(gram - np.eye(n_basis)).max())
-
-
-def coherent_transform(state: VectorState, family: CoherentFamily, rule: QuadratureRule) -> np.ndarray:
-    """Tabulated map rho(phi)(param) = <phi, v(param)> over the rule's nodes.
-
-    The amplitudes are the outer product of m_k(principal) and e^{+-ik angle}.
-    The returned array is flattened in the same order as ``rule.nodes``;
-    its weighted squared sum approximates the squared norm of ``state``
-    (the transform is isometric up to the rule's residual).
-    """
-    _check_compatible(family, rule)
-    if state.dim != family.dim:
-        raise ValueError(f"dimension mismatch: state {state.dim}, family {family.dim}")
-    amps = family.amplitudes(rule.principal_nodes, rule.angle_nodes)
-    return amps.reshape(-1, family.dim) @ state.vector.conj()
 
 
 @dataclass(frozen=True)

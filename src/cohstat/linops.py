@@ -1,7 +1,7 @@
 """Dense complex linear algebra kernel.
 
 Only what numpy does not give in one call lives here: a matrix
-exponential, a deterministic Hermitian eigendecomposition, and the
+exponential, a Hermitian eigendecomposition in descending order, and the
 distance between two vectors up to a global phase.  Adjoints, commutators
 and inner products are numpy expressions (``m.conj().T``, ``a @ b - b @ a``,
 ``np.vdot``).  The exponential takes one of four routes, chosen from the
@@ -154,46 +154,29 @@ class SpectralDecomposition:
     """Eigenvalues (descending) and orthonormal eigenvectors of a Hermitian matrix.
 
     Column i of ``eigenvectors`` belongs to ``eigenvalues[i]``.  Each
-    eigenvector's global phase is fixed by making its first nonzero entry
-    positive real, so outputs are deterministic for golden tests.  Within a
+    column is fixed only up to a unit-modulus factor, and within a
     degenerate cluster only the spanned subspace is meaningful; compare
-    projectors there, not columns.
+    projectors, not columns.
     """
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
 
-    @property
-    def dim(self) -> int:
-        return self.eigenvalues.shape[0]
+
+# Relative Hermiticity defect ||m - m*||_F / max(1, ||m||_F) a matrix may carry: constructed
+# matrices are Hermitian to rounding only, so this is loose relative to machine precision.
+_HERMITIAN_TOL = 1e-10
 
 
-def _fix_column_phases(vectors: np.ndarray) -> np.ndarray:
-    fixed = vectors.copy()
-    for i in range(fixed.shape[1]):
-        col = fixed[:, i]
-        nonzero = np.nonzero(np.abs(col) > 1e-12)[0]
-        if nonzero.size == 0:
-            continue
-        lead = col[nonzero[0]]
-        fixed[:, i] = col * (lead.conjugate() / abs(lead))
-    return fixed
+def hermitian_eigendecomposition(m) -> SpectralDecomposition:
+    """Eigendecomposition of a Hermitian matrix, eigenvalues in descending order.
 
-
-def hermitian_eigendecomposition(m, tol: float = 1e-10) -> SpectralDecomposition:
-    """Eigendecomposition of a Hermitian matrix with deterministic ordering.
-
-    The Hermiticity requirement is ||m - m*||_F <= tol * max(1, ||m||_F);
-    constructed matrices are Hermitian to rounding only, so the default is
-    loose relative to machine precision.
+    Raises ValueError when ||m - m*||_F exceeds _HERMITIAN_TOL * max(1, ||m||_F).
     """
     m = _as_complex_matrix(m)
     scale = max(1.0, float(np.linalg.norm(m, "fro")))
     defect = float(np.linalg.norm(m - m.conj().T, "fro"))
-    if defect > tol * scale:
+    if defect > _HERMITIAN_TOL * scale:
         raise ValueError(f"matrix is not Hermitian within tolerance (defect {defect:.3e})")
-    h = (m + m.conj().T) / 2.0
-    eigenvalues, eigenvectors = np.linalg.eigh(h)
-    eigenvalues = eigenvalues[::-1].copy()
-    eigenvectors = _fix_column_phases(eigenvectors[:, ::-1])
-    return SpectralDecomposition(eigenvalues=eigenvalues, eigenvectors=eigenvectors)
+    eigenvalues, eigenvectors = np.linalg.eigh((m + m.conj().T) / 2.0)
+    return SpectralDecomposition(eigenvalues=eigenvalues[::-1].copy(), eigenvectors=eigenvectors[:, ::-1])

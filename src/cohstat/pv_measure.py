@@ -21,18 +21,19 @@ __all__ = [
     "FinitePVMeasure",
     "NonFiniteError",
     "Observable",
-    "StateOperator",
     "VectorState",
     "born_probabilities",
     "born_probability",
     "example_family_states",
-    "expectation_trace",
     "gaussian_position_probability",
     "pv_from_observable",
 ]
 
 _UNIT_NORM_TOL = 1e-12
 _PROJECTOR_TOL = 1e-10
+# Eigenvalues within _CLUSTER_TOL of their cluster's first are one outcome, and an outcome
+# within _OUTCOME_MATCH_TOL of a spectrum value names it.
+_CLUSTER_TOL = 1e-9
 _OUTCOME_MATCH_TOL = 1e-9
 _NEGATIVE_PROBABILITY_TOL = 1e-10
 
@@ -84,44 +85,10 @@ class Observable:
     spectrum: SpectralDecomposition
 
     @classmethod
-    def from_matrix(cls, matrix, tol: float = 1e-10) -> "Observable":
+    def from_matrix(cls, matrix) -> "Observable":
+        """Observable of ``matrix``; Hermitian to ``linops._HERMITIAN_TOL``, else ValueError."""
         matrix = np.asarray(matrix, dtype=complex)
-        return cls(matrix=matrix, spectrum=hermitian_eigendecomposition(matrix, tol=tol))
-
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
-
-
-@dataclass(frozen=True)
-class StateOperator:
-    """Hermitian, positive semidefinite, trace-one operator (mixed state)."""
-
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=complex)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise ValueError(f"state operator must be square, got shape {m.shape}")
-        scale = max(1.0, float(np.linalg.norm(m, "fro")))
-        if float(np.linalg.norm(m - m.conj().T, "fro")) > 1e-10 * scale:
-            raise ValueError("state operator is not Hermitian")
-        eigenvalues = np.linalg.eigvalsh((m + m.conj().T) / 2.0)
-        if eigenvalues.min() < -1e-12:
-            raise ValueError(f"state operator is not positive semidefinite (min eigenvalue {eigenvalues.min():.3e})")
-        trace = complex(np.trace(m))
-        if abs(trace - 1.0) > 1e-12:
-            raise ValueError(f"state operator trace is {trace!r}, expected 1")
-        object.__setattr__(self, "matrix", m)
-
-    @classmethod
-    def from_vector_state(cls, state: VectorState) -> "StateOperator":
-        v = state.vector
-        return cls(np.outer(v, v.conj()))
-
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
+        return cls(matrix=matrix, spectrum=hermitian_eigendecomposition(matrix))
 
 
 @dataclass(frozen=True)
@@ -161,19 +128,21 @@ class FinitePVMeasure:
     def dim(self) -> int:
         return self.projectors[0].shape[0]
 
-    def outcome_index(self, outcome: float, match_tol: float = _OUTCOME_MATCH_TOL) -> int:
+    def outcome_index(self, outcome: float) -> int:
+        """Index of the outcome within _OUTCOME_MATCH_TOL of ``outcome``; ValueError if none is."""
         distances = np.abs(self.outcomes - outcome)
         idx = int(np.argmin(distances))
-        if distances[idx] > match_tol:
+        if distances[idx] > _OUTCOME_MATCH_TOL:
             raise ValueError(f"outcome {outcome!r} is not in the spectrum {self.outcomes}")
         return idx
 
 
-def pv_from_observable(obs: Observable, cluster_tol: float = 1e-9) -> FinitePVMeasure:
-    """PV measure of an observable, merging eigenvalues within cluster_tol.
+def pv_from_observable(obs: Observable) -> FinitePVMeasure:
+    """PV measure of an observable, merging eigenvalues within _CLUSTER_TOL.
 
     Spectra built here are integers or exact trigonometric values, so
-    clusters are well separated and the default threshold is safe.
+    clusters are well separated and the threshold is safe.  The clusters
+    are read off the descending spectrum in one pass.
     """
     eigenvalues = obs.spectrum.eigenvalues
     vectors = obs.spectrum.eigenvectors
@@ -181,7 +150,7 @@ def pv_from_observable(obs: Observable, cluster_tol: float = 1e-9) -> FinitePVMe
     projectors: list[np.ndarray] = []
     start = 0
     for stop in range(1, eigenvalues.shape[0] + 1):
-        if stop < eigenvalues.shape[0] and eigenvalues[start] - eigenvalues[stop] <= cluster_tol:
+        if stop < eigenvalues.shape[0] and eigenvalues[start] - eigenvalues[stop] <= _CLUSTER_TOL:
             continue
         block = vectors[:, start:stop]
         outcomes.append(float(eigenvalues[start:stop].mean()))
@@ -208,16 +177,6 @@ def born_probability(state: VectorState, pv: FinitePVMeasure, outcome: float) ->
 def born_probabilities(state: VectorState, pv: FinitePVMeasure) -> np.ndarray:
     """Probabilities for every outcome, aligned with ``pv.outcomes``."""
     return np.array([born_probability(state, pv, y) for y in pv.outcomes])
-
-
-def expectation_trace(state_op: StateOperator, obs: Observable) -> float:
-    """Expected result trace(S O) for a state operator and observable."""
-    if state_op.dim != obs.dim:
-        raise ValueError(f"dimension mismatch: state operator {state_op.dim}, observable {obs.dim}")
-    value = complex(np.trace(state_op.matrix @ obs.matrix))
-    if abs(value.imag) > 1e-12 * max(1.0, abs(value.real)):
-        raise ValueError(f"trace has unexpected imaginary part {value.imag!r}")
-    return float(value.real)
 
 
 def example_family_states(beta: float, theta: float) -> VectorState:

@@ -18,21 +18,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fock import _EXTENDED, _bd0, _log_factorial_excess
+from .fock import _EXTENDED, _ROUTE_LIMIT, _bd0, _log_factorial_excess
 from .linops import matrix_exponential, phase_aligned_distance
 from .pv_measure import VectorState
 
 __all__ = [
-    "BinomialMap",
     "CoherentStateSpin",
     "SpherePoint",
     "SpinRep",
-    "binomial_map",
     "binomial_pmf",
     "build_spin_rep",
     "coherent_amplitudes",
     "coherent_magnitudes",
-    "coset_element",
     "gauss_decomposition_check",
     "rotation_matrix",
     "so3_basis",
@@ -42,9 +39,6 @@ __all__ = [
 ]
 
 _EXACT_BINOMIAL_LIMIT = 60
-
-_M1 = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-_M2 = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
 
 
 def so3_basis() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -129,12 +123,6 @@ class SpherePoint:
             raise ValueError(f"gamma must lie in [0, 2*pi), got {self.gamma!r}")
 
 
-def coset_element(point: SpherePoint) -> np.ndarray:
-    """SU(2) coset representative exp((i theta/2)(sin g M1 - cos g M2))."""
-    generator = math.sin(point.gamma) * _M1 - math.cos(point.gamma) * _M2
-    return matrix_exponential(0.5j * point.theta * generator)
-
-
 def _sqrt_binomials(two_j: int) -> np.ndarray:
     """sqrt(C(2j, k)) for k = 0..2j; exact integers up to 2j = 60, then sqrt(2^2j b(k; 2j, 1/2)).
 
@@ -192,21 +180,17 @@ def rotation_matrix(rep: SpinRep, point: SpherePoint) -> np.ndarray:
     return matrix_exponential(1j * point.theta * generator)
 
 
-def spin_coherent_via_exponential(rep: SpinRep, point: SpherePoint, tol: float = 1e-10) -> CoherentStateSpin:
+def spin_coherent_via_exponential(rep: SpinRep, point: SpherePoint) -> CoherentStateSpin:
     """Coherent state from the rotation exponential applied to phi_{-j}.
 
     Raises RuntimeError when the result differs from the closed form by
-    more than 10*tol up to a global phase.
+    more than ``fock._ROUTE_LIMIT`` up to a global phase.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
     vec = rotation_matrix(rep, point)[:, 0].copy()
     closed = spin_coherent_closed_form(rep, point)
     distance = phase_aligned_distance(vec, closed.vector.vector)
-    if distance > 10.0 * tol:
-        raise RuntimeError(
-            f"exponential route differs from the closed form by {distance:.3e} (limit {10.0 * tol:.1e})"
-        )
+    if distance > _ROUTE_LIMIT:
+        raise RuntimeError(f"exponential route differs from the closed form by {distance:.3e} (limit {_ROUTE_LIMIT:.1e})")
     return CoherentStateSpin(point=point, vector=VectorState.from_unnormalized(vec))
 
 
@@ -272,26 +256,6 @@ def binomial_pmf(rep: SpinRep, point: SpherePoint, ell) -> float:
     k = _two_ell_index(rep, ell)
     p = math.sin(point.theta / 2.0) ** 2
     return float(_binomial_weight(rep.two_j, k, p))
-
-
-@dataclass(frozen=True)
-class BinomialMap:
-    """Binomial coordinates (n, k, p) of a spin outcome at a sphere point."""
-
-    n: int
-    k: int
-    p: float
-
-    def __post_init__(self):
-        if self.n < 0 or not 0 <= self.k <= self.n:
-            raise ValueError(f"need 0 <= k <= n, got n={self.n!r}, k={self.k!r}")
-        if not 0.0 <= self.p < 1.0:
-            raise ValueError(f"p must lie in [0, 1), got {self.p!r}")
-
-
-def binomial_map(rep: SpinRep, point: SpherePoint, ell) -> BinomialMap:
-    """Relabel (j, ell, theta) as binomial (n=2j, k=j+ell, p=sin^2(theta/2))."""
-    return BinomialMap(n=rep.two_j, k=_two_ell_index(rep, ell), p=math.sin(point.theta / 2.0) ** 2)
 
 
 def sphere_point_for_probability(p: float, gamma: float = 0.0) -> SpherePoint:

@@ -117,6 +117,9 @@ class TestLoadConfig:
             (["infer", "binomial", "--n", "20", "--k", "7"], '{"n_gamma": 41}', [], "n_gamma", 0),
             (INFER_3, '{"lambda_points": "abc"}', [], "lambda_points", 0),
             (INFER_3, '{"lambda_points": null}', [], "lambda_points", 0),
+            # past the table-row limit: numpy could not allocate the grid
+            (INFER_3, '{"lambda_points": 1000000000000}', [], "lambda_points", 0),
+            (["infer", "binomial", "--n", "20", "--k", "7"], '{"p_points": 1000000000000}', [], "p_points", 0),
         ],
     )
     def test_bad_value_exits_2(self, tmp_path, capsys, argv, config, flags, key, default_code):
@@ -579,6 +582,15 @@ class TestOutputFormats:
         assert main(["family", "poisson", "--lambda", "0"]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["command"] == "family"
+
+    @pytest.mark.parametrize("target", ["missing/out.json", "."], ids=["missing-directory", "directory"])
+    def test_unwritable_out_is_a_usage_error(self, tmp_path, capsys, target):
+        out = tmp_path / target
+        assert main(["verify", "--check", "example12", "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: cannot write output to {out}: ")
+        assert captured.err.count("\n") == 1
 
     @pytest.mark.parametrize(
         "argv",

@@ -16,7 +16,6 @@ from cohstat.inference import (
     SpinCoherentFamily,
     analytic_binomial_posterior,
     analytic_poisson_posterior,
-    coherent_transform,
     credible_interval,
     default_lambda_grid,
     default_p_grid,
@@ -39,6 +38,17 @@ def basis_state(dim, k):
     vec = np.zeros(dim, dtype=complex)
     vec[k] = 1.0
     return VectorState(vec)
+
+
+def dense_transform(state, family, rule):
+    """<phi, v(param)> at every node of ``rule``, flattened in the order of ``rule.nodes``."""
+    return family.amplitudes(rule.principal_nodes, rule.angle_nodes).reshape(-1, family.dim) @ state.vector.conj()
+
+
+def with_angle_nodes(rule, n_gamma):
+    """``rule`` with its angle rule replaced by n_gamma uniform nodes."""
+    gammas = 2.0 * math.pi * np.arange(n_gamma) / n_gamma
+    return dataclasses.replace(rule, angle_nodes=gammas, angle_weights=np.full(n_gamma, 2.0 * math.pi / n_gamma))
 
 
 class TestPlaneQuadrature:
@@ -79,24 +89,14 @@ class TestSphereQuadrature:
     def test_2j_plus_1_angle_nodes_resolve_identity(self, j):
         # lags |k - l| reach at most 2j, so 2j + 1 uniform angle nodes alias none of them onto 0
         rep = build_spin_rep(j)
-        rule = sphere_quadrature(j, rep.two_j + 2, rep.two_j + 1)
+        rule = with_angle_nodes(sphere_quadrature(j), rep.two_j + 1)
         assert resolution_of_identity_check(SpinCoherentFamily(rep), rule) < 1e-12
-        with pytest.raises(ValueError, match="n_gamma"):
-            sphere_quadrature(j, rep.two_j + 2, rep.two_j)
 
     @pytest.mark.parametrize("j", [0.0, 0.5, 1.0, 5.0, 10.0])
     def test_default_node_counts(self, j):
-        rep = build_spin_rep(j)
-        default = sphere_quadrature(j)
-        explicit = sphere_quadrature(j, rep.two_j + 2, 2 * rep.two_j + 1)
-        for field in dataclasses.fields(default):
-            np.testing.assert_array_equal(getattr(default, field.name), getattr(explicit, field.name))
-
-    def test_rejects_insufficient_nodes(self):
-        with pytest.raises(ValueError, match="n_theta"):
-            sphere_quadrature(2.0, 4, 20)
-        with pytest.raises(ValueError, match="n_gamma"):
-            sphere_quadrature(2.0, 8, 4)
+        two_j = build_spin_rep(j).two_j
+        rule = sphere_quadrature(j)
+        assert (rule.principal_nodes.size, rule.angle_nodes.size) == (two_j + 2, 2 * two_j + 1)
 
 
 class TestResolutionOfIdentity:
@@ -121,10 +121,12 @@ class TestResolutionOfIdentity:
 
 
 class TestCoherentTransform:
+    """The transform phi -> <phi, v(.)> on the plane is an isometry: the resolution of identity."""
+
     def test_vacuum_transform_is_gaussian(self):
         family = FockCoherentFamily(16)
         rule = plane_quadrature((0.0, 8.0), 60, 12)
-        values = coherent_transform(basis_state(16, 0), family, rule)
+        values = dense_transform(basis_state(16, 0), family, rule)
         lam = rule.nodes[:, 0] ** 2
         assert np.abs(np.abs(values) ** 2 - np.exp(-lam)).max() < 1e-15
 
@@ -132,20 +134,15 @@ class TestCoherentTransform:
         family = FockCoherentFamily(32)
         rule = plane_quadrature((0.0, 10.0), 200, 65)
         for n in (0, 3, 11, 19):
-            values = coherent_transform(basis_state(32, n), family, rule)
+            values = dense_transform(basis_state(32, n), family, rule)
             assert np.sum(rule.weights * np.abs(values) ** 2) == pytest.approx(1.0, abs=1e-8)
 
     def test_orthogonality_preserved(self):
         family = FockCoherentFamily(32)
         rule = plane_quadrature((0.0, 10.0), 200, 65)
-        first = coherent_transform(basis_state(32, 2), family, rule)
-        second = coherent_transform(basis_state(32, 7), family, rule)
+        first = dense_transform(basis_state(32, 2), family, rule)
+        second = dense_transform(basis_state(32, 7), family, rule)
         assert abs(np.sum(rule.weights * first.conj() * second)) < 1e-8
-
-    def test_rejects_dimension_mismatch(self):
-        rule = plane_quadrature((0.0, 8.0), 40, 9)
-        with pytest.raises(ValueError, match="dimension mismatch"):
-            coherent_transform(basis_state(4, 0), FockCoherentFamily(8), rule)
 
 
 class TestInferViaPov:
@@ -183,7 +180,7 @@ class TestInferViaPov:
         family = FockCoherentFamily(12)
         rule = plane_quadrature((0.0, 8.0), 50, 9)
         state = VectorState(random_unit_vector(rng, 12))
-        values = np.abs(coherent_transform(state, family, rule)) ** 2
+        values = np.abs(dense_transform(state, family, rule)) ** 2
         r = rule.nodes[:, 0]
         low, high = sorted(rng.uniform(0.0, 8.0, size=2))
         box = (r >= low) & (r <= high)
@@ -223,8 +220,8 @@ class TestAngleRuleSize:
     def test_sphere_angle_nodes(self, n, k):
         rep = build_spin_rep(n / 2.0)
         family = SpinCoherentFamily(rep)
-        reference = infer_via_pov(k, family, sphere_quadrature(rep.j, rep.two_j + 2, 2 * rep.two_j + 1))
-        dist = infer_via_pov(k, family, sphere_quadrature(rep.j, rep.two_j + 2, rep.two_j + 1))
+        reference = infer_via_pov(k, family, sphere_quadrature(rep.j))
+        dist = infer_via_pov(k, family, with_angle_nodes(sphere_quadrature(rep.j), rep.two_j + 1))
         self.assert_same_posterior(dist, reference)
 
 
@@ -249,9 +246,7 @@ def dense_identity_residual(family, rule, n_basis):
 def coarse_angle_rule(j):
     """Sphere rule with 2j angle nodes, too few for sphere_quadrature: lag 2j aliases onto lag 0."""
     rule = sphere_quadrature(j)
-    n_gamma = rule.principal_nodes.size - 2
-    gammas = 2.0 * math.pi * np.arange(n_gamma) / n_gamma
-    return dataclasses.replace(rule, angle_nodes=gammas, angle_weights=np.full(n_gamma, 2.0 * math.pi / n_gamma))
+    return with_angle_nodes(rule, rule.principal_nodes.size - 2)
 
 
 class TestSeparableAmplitudes:
@@ -434,7 +429,7 @@ class TestInferredDistributionValidation:
     def test_pov_route_reports_overflowed_amplitudes(self):
         # sqrt C(3000, 700) overflows, so the joint density holds inf * 0 = NaN
         rep = build_spin_rep(1500)
-        rule = sphere_quadrature(rep.j, rep.two_j + 2, rep.two_j + 1)
+        rule = sphere_quadrature(rep.j)
         with pytest.raises(NonFiniteError, match="non-finite quadrature mass"):
             with np.errstate(over="ignore", invalid="ignore"):
                 infer_via_pov(700, SpinCoherentFamily(rep), rule)

@@ -8,12 +8,10 @@ from hypothesis import strategies as st
 from cohstat.pv_measure import (
     FinitePVMeasure,
     Observable,
-    StateOperator,
     VectorState,
     born_probabilities,
     born_probability,
     example_family_states,
-    expectation_trace,
     gaussian_position_probability,
     pv_from_observable,
 )
@@ -45,20 +43,6 @@ class TestVectorState:
     def test_rejects_zero_vector(self):
         with pytest.raises(ValueError, match="zero vector"):
             VectorState.from_unnormalized([0.0, 0.0])
-
-
-class TestStateOperator:
-    def test_projector_is_valid(self):
-        op = StateOperator.from_vector_state(XI)
-        assert op.dim == 3
-
-    def test_rejects_wrong_trace(self):
-        with pytest.raises(ValueError, match="trace"):
-            StateOperator(np.eye(2))
-
-    def test_rejects_indefinite(self):
-        with pytest.raises(ValueError, match="positive semidefinite"):
-            StateOperator(np.diag([1.5, -0.5]))
 
 
 class TestPVFromObservable:
@@ -124,35 +108,6 @@ class TestBornProbability:
         original = born_probabilities(VectorState(vec), pv)
         rotated = born_probabilities(VectorState(np.exp(1j * chi) * vec), pv)
         assert np.abs(original - rotated).max() < 1e-14
-
-
-class TestExpectationTrace:
-    def test_commuting_diagonal_case(self):
-        p = np.array([0.2, 0.3, 0.5])
-        y = np.array([1.0, 0.0, -1.0])
-        value = expectation_trace(StateOperator(np.diag(p)), Observable.from_matrix(np.diag(y)))
-        assert value == np.sum(p * y)
-
-    def test_eigenstate_expectation(self):
-        eta1 = VectorState(np.array([1.0, 0.0, 0.0], dtype=complex))
-        assert expectation_trace(StateOperator.from_vector_state(eta1), THREE_LEVEL) == 1.0
-
-    def test_three_level_state_expectation(self):
-        # sum of outcome * probability from the (1/14, 4/14, 9/14) table
-        value = expectation_trace(StateOperator.from_vector_state(XI), THREE_LEVEL)
-        assert value == pytest.approx(-8.0 / 14.0, abs=1e-14)
-
-    def test_matches_born_average(self):
-        rng = np.random.default_rng(5)
-        state = VectorState(random_unit_vector(rng, 3))
-        pv = pv_from_observable(THREE_LEVEL)
-        average = float(np.sum(pv.outcomes * born_probabilities(state, pv)))
-        value = expectation_trace(StateOperator.from_vector_state(state), THREE_LEVEL)
-        assert abs(value - average) < 1e-10
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError, match="dimension mismatch"):
-            expectation_trace(StateOperator(np.eye(2) / 2.0), THREE_LEVEL)
 
 
 class TestExampleFamilyStates:

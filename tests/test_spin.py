@@ -8,14 +8,12 @@ from hypothesis import strategies as st
 
 from cohstat.linops import matrix_exponential, phase_aligned_distance
 from cohstat.spin import (
-    BinomialMap,
     SpherePoint,
-    binomial_map,
     binomial_pmf,
     build_spin_rep,
     coherent_amplitudes,
-    coset_element,
     gauss_decomposition_check,
+    rotation_matrix,
     so3_basis,
     sphere_point_for_probability,
     spin_coherent_closed_form,
@@ -134,19 +132,28 @@ class TestSpherePoint:
             sphere_point_for_probability(1.0)
 
 
+def coset_representative(point):
+    """SU(2) coset representative exp((i theta/2)(sin g sigma1 - cos g sigma2)) of a sphere point (Pauli sigmas).
+
+    It is the spin-1/2 rotation matrix, written in the defining basis, which
+    orders the weights highest first.
+    """
+    return rotation_matrix(build_spin_rep(0.5), point)[::-1, ::-1]
+
+
 class TestCosetElement:
     def test_north_pole_is_identity(self):
-        assert np.array_equal(coset_element(SpherePoint(0.0, 1.0)), np.eye(2))
+        assert np.array_equal(coset_representative(SpherePoint(0.0, 1.0)), np.eye(2))
 
     @given(point=sphere_points)
     @settings(max_examples=40, deadline=None)
     def test_special_unitary(self, point):
-        g = coset_element(point)
+        g = coset_representative(point)
         assert np.abs(g.conj().T @ g - np.eye(2)).max() < 1e-12
         assert abs(np.linalg.det(g) - 1.0) < 1e-12
 
     def test_quarter_rotation(self):
-        g = coset_element(SpherePoint(math.pi / 2.0, 0.0))
+        g = coset_representative(SpherePoint(math.pi / 2.0, 0.0))
         c = math.cos(math.pi / 4.0)
         expected = np.array([[c, -c], [c, c]])
         assert np.abs(g - expected).max() < 1e-14
@@ -204,7 +211,7 @@ class TestSpinCoherentViaExponential:
     def test_matches_closed_form(self, j):
         rep = build_spin_rep(j)
         point = SpherePoint(1.1, 2.3)
-        via_exp = spin_coherent_via_exponential(rep, point, tol=1e-11)
+        via_exp = spin_coherent_via_exponential(rep, point)
         closed = spin_coherent_closed_form(rep, point)
         assert phase_aligned_distance(via_exp.vector.vector, closed.vector.vector) < 1e-10
 
@@ -218,7 +225,7 @@ class TestSpinCoherentViaExponential:
         half, g = point.theta / 2.0, point.gamma
         oracle = np.array([math.cos(half), -math.sin(half) * np.exp(-1j * g)])
         assert phase_aligned_distance(state.vector.vector, oracle) < 1e-13
-        assert np.abs(coset_element(point)[::-1, 1] - oracle).max() < 1e-13
+        assert np.abs(rotation_matrix(rep, point)[:, 0] - oracle).max() < 1e-13
 
 
 class TestGaussDecomposition:
@@ -297,15 +304,8 @@ class TestBinomialPmf:
 
 class TestBinomialMap:
     def test_relabeling(self):
+        # (j, ell, theta) = (3/2, 1/2, 1) is binomial (n, k, p) = (3, 2, sin^2(1/2))
         rep = build_spin_rep(1.5)
         point = SpherePoint(1.0, 0.0)
-        mapped = binomial_map(rep, point, 0.5)
-        assert mapped.n == 3
-        assert mapped.k == 2
-        assert mapped.p == pytest.approx(math.sin(0.5) ** 2, abs=1e-15)
-
-    def test_validation(self):
-        with pytest.raises(ValueError, match="0 <= k <= n"):
-            BinomialMap(n=2, k=3, p=0.5)
-        with pytest.raises(ValueError, match="p must lie"):
-            BinomialMap(n=2, k=1, p=1.0)
+        p = math.sin(0.5) ** 2
+        assert binomial_pmf(rep, point, 0.5) == pytest.approx(3.0 * p**2 * (1.0 - p), rel=1e-14)
