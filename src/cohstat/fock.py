@@ -25,7 +25,7 @@ from functools import cached_property
 import numpy as np
 
 from .linops import matrix_exponential, phase_aligned_distance
-from .pv_measure import VectorState
+from .pv_measure import NonFiniteError, VectorState
 
 __all__ = [
     "CoherentStateWH",
@@ -329,7 +329,7 @@ def bch_check(alpha: complex, rep: FockSpace) -> float:
     diagonal commutator entry by entry, and the tridiagonal skew-Hermitian
     O1 + O2 through the SVD of its even/odd block.  The residual is small
     only when the truncation is large enough for |alpha|, so this doubles as
-    a truncation probe.
+    a truncation probe.  Raises NonFiniteError when either side overflows.
     """
     alpha = complex(alpha)
     annihilation = rep.annihilation
@@ -337,10 +337,17 @@ def bch_check(alpha: complex, rep: FockSpace) -> float:
     o1 = alpha * creation
     o2 = -np.conjugate(alpha) * annihilation
     vacuum = _vacuum(rep.dim)
-    lhs = matrix_exponential(o1) @ (matrix_exponential(o2) @ vacuum)
-    cross = -abs(alpha) ** 2 * (creation @ annihilation - annihilation @ creation)
-    rhs = matrix_exponential(cross / 2.0) @ (matrix_exponential(o1 + o2) @ vacuum)
-    return float(np.linalg.norm(lhs - rhs))
+    residual = math.nan
+    with np.errstate(over="ignore", invalid="ignore"):
+        # numpy's power gives inf where |alpha|^2 overflows, where Python's ** raises OverflowError
+        cross = -np.float64(abs(alpha)) ** 2 * (creation @ annihilation - annihilation @ creation)
+        if np.isfinite(cross).all():
+            lhs = matrix_exponential(o1) @ (matrix_exponential(o2) @ vacuum)
+            rhs = matrix_exponential(cross / 2.0) @ (matrix_exponential(o1 + o2) @ vacuum)
+            residual = float(np.linalg.norm(lhs - rhs))
+    if not math.isfinite(residual):
+        raise NonFiniteError(f"bch check overflows at |alpha|={abs(alpha):g} trunc={rep.dim}")
+    return residual
 
 
 def displacement_translation_check(alpha: complex, beta: complex, rep: FockSpace) -> tuple[float, complex]:

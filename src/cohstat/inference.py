@@ -11,9 +11,7 @@ provided analytically for comparison.  Both Poisson rules of a count n sit
 on ``radial_window(n)`` around its peak, so one rule size serves every n.
 Every rule is built on a numpy Gauss-Legendre rule (Halley's iteration on
 the Legendre recurrence) and the weights come from the numpy pmf kernel of
-``fock``, so posteriors load no scipy; in the package only the general
-fallback of ``linops.matrix_exponential``, which no command reaches,
-imports it.
+``fock``.
 """
 
 from __future__ import annotations

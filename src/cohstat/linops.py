@@ -4,14 +4,14 @@ Only what numpy does not give in one call lives here: a matrix
 exponential, a Hermitian eigendecomposition in descending order, and the
 distance between two vectors up to a global phase.  Adjoints, commutators
 and inner products are numpy expressions (``m.conj().T``, ``a @ b - b @ a``,
-``np.vdot``).  The exponential takes one of four routes, chosen from the
-structure of its input: a diagonal matrix (a truncated commutator, a weight
-factor) entry by entry, a single-band nilpotent matrix (a ladder factor) by
-its terminating power series, a zero-diagonal tridiagonal skew-Hermitian
-generator (of a displacement or a rotation) through the SVD of the half-size
-block that couples its even levels to its odd ones, and every other matrix
-by scipy.linalg.expm, which no matrix the package builds reaches.  All
-functions are pure and operate on plain numpy arrays.
+``np.vdot``).  The exponential takes one of three exact routes, chosen from
+the structure of its input: a diagonal matrix (a truncated commutator, a
+weight factor) entry by entry, a single-band nilpotent matrix (a ladder
+factor) by its terminating power series, and a zero-diagonal tridiagonal
+skew-Hermitian generator (of a displacement or a rotation) through the SVD
+of the half-size block that couples its even levels to its odd ones; it
+refuses every other matrix, and the package builds none.  All functions
+are pure and operate on plain numpy arrays.
 """
 
 from __future__ import annotations
@@ -86,7 +86,7 @@ def _exp_bipartite(m: np.ndarray) -> np.ndarray:
 
 
 def matrix_exponential(m) -> np.ndarray:
-    """Matrix exponential by the most direct route the input's structure allows.
+    """Matrix exponential by the exact route the input's structure allows.
 
     There is no option; the input picks the first route whose structure it has:
 
@@ -105,15 +105,10 @@ def matrix_exponential(m) -> np.ndarray:
       only to odd ones, so exp(m) follows from the SVD of the
       ceil(d/2) x floor(d/2) block between them: a quarter of the matrix in
       place of a d x d eigendecomposition, unitary to rounding.
-    - Every other input, any other skew-Hermitian one included, goes to
-      scipy.linalg.expm (Al-Mohy & Higham 2009, Pade scaling and
-      squaring), accurate to double precision for any matrix.  Its result
-      for a skew-Hermitian input can miss unitarity by more than 100 eps
-      (154 eps at worst on 5000 seeded 2 x 2 inputs of norm 50).
 
-    Each test is exact, on the entries themselves, so a matrix that only
-    nearly has a structure stays on a later route.  exp(0) is the identity
-    exactly.  Raises ValueError for non-finite entries.
+    Each test is exact, on the entries themselves, and exp(0) is the identity
+    exactly.  Raises ValueError for non-finite entries and for an input with
+    none of the three structures, any other skew-Hermitian one included.
     """
     m = _as_complex_matrix(m)
     if not np.isfinite(m).all():
@@ -129,9 +124,7 @@ def matrix_exponential(m) -> np.ndarray:
         return _exp_subdiagonal(upper).T  # exp(m) = exp(m^T)^T
     if nonzeros == upper_nonzeros + lower_nonzeros and np.array_equal(upper, -lower.conj()):
         return _exp_bipartite(m)
-    from scipy.linalg import expm  # deferred: slow to import, and only a general input needs it
-
-    return expm(m)
+    raise ValueError("no exact exponential route: not diagonal, single-band or zero-diagonal tridiagonal skew-Hermitian")
 
 
 def phase_aligned_distance(u, v) -> float:

@@ -479,6 +479,24 @@ class TestVerifyCommand:
         assert err.startswith("error:") and "--alpha" in err
         assert err.count("\n") == 1
 
+    # a finite alpha whose bch sides overflow double precision is a numerical failure, with no output
+    @pytest.mark.parametrize("trunc", [None, 256])
+    @pytest.mark.parametrize("alpha", ["1e10", "3e153", "1e155", "1e200", "1e200j"])
+    def test_overflowing_alpha_is_a_numerical_failure(self, capsys, alpha, trunc):
+        argv = ["verify", "--check", "bch", f"--alpha={alpha}"] + ([] if trunc is None else ["--trunc", str(trunc)])
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("numerical failure:") and captured.err.count("\n") == 1
+        assert f"|alpha|={abs(complex(alpha)):g} trunc={trunc or 64}" in captured.err
+
+    # alpha 4.4 is too large for 64 levels, but its residual stays finite: a fail row, not a numerical failure
+    def test_under_truncated_alpha_is_a_finite_fail_row(self, tmp_path):
+        code, payload = run_json(tmp_path, ["verify", "--check", "bch", "--alpha=4.4", "--trunc", "64"])
+        assert code == 1
+        row = payload["rows"][0]
+        assert row["status"] == "fail" and math.isfinite(row["residual"])
+
     # 3 levels are too few for the sampled displacements: the overlap is printed as a plain float
     def test_translation_failure_message_shows_a_plain_overlap(self, capsys):
         assert main(["verify", "--check", "translation", "--trunc", "3", "--out", os.devnull]) == 1
@@ -683,30 +701,52 @@ class TestImportPath:
         result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
         return result.stdout.strip()
 
+    # A meta-path finder first in line that refuses scipy and its submodules: an import of them
+    # raises ImportError, as in an install without scipy, and leaves no "scipy" key in sys.modules.
+    _BLOCK_SCIPY = (
+        "import sys\n"
+        "class BlockScipy:\n"
+        "    def find_spec(self, name, path=None, target=None):\n"
+        "        if name.split('.')[0] == 'scipy':\n"
+        "            raise ImportError(f'{name} is blocked')\n"
+        "sys.meta_path.insert(0, BlockScipy())\n"
+    )
+
     def _scipy_modules_after(self, argv: str) -> str:
-        """The scipy modules loaded by a fresh process that runs ``main(argv)``, which must exit 0."""
-        code = (
-            "import os, sys, cohstat.cli\n"
+        """The scipy modules loaded by a fresh process, scipy blocked, that runs ``main(argv)``; it must exit 0."""
+        code = self._BLOCK_SCIPY + (
+            "import os, cohstat.cli\n"
             f"assert cohstat.cli.main({argv.split()!r} + ['--out', os.devnull]) == 0\n"
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
         )
         return self._fresh(code)
 
+    def test_blocked_scipy_cannot_be_imported(self):
+        code = self._BLOCK_SCIPY + (
+            "try:\n"
+            "    import scipy.linalg\n"
+            "except ImportError as exc:\n"
+            "    print(exc, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        )
+        assert self._fresh(code) == "scipy is blocked []"
+
     def test_cli_import_loads_no_scipy(self):
         code = "import sys, cohstat.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
         assert self._fresh(code) == "[]"
 
-    # every exponential the verify checks form has an exact route in linops, so none reaches expm
+    # every exponential the verify checks form has an exact route in linops, and nothing else imports scipy
     @pytest.mark.parametrize(
         "argv",
         [
             "family poisson --lambda 1000",
             "family binomial --n 200 --p 0.3",
             "infer poisson --observed 200",
+            "infer poisson --observed 1000000",
             "infer binomial --n 200 --k 77",
             "verify --check all",
             "verify --check translation --trunc 128",
             "verify --check bch --alpha=3 --trunc 64",
+            "verify --check bch --alpha=3+1j --trunc 255",
             "verify --check gauss",
             "verify --check ladder",
             "verify --check identity",

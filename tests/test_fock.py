@@ -24,6 +24,7 @@ from cohstat.fock import (
     wh_multiply,
 )
 from cohstat.linops import matrix_exponential, phase_aligned_distance
+from cohstat.pv_measure import NonFiniteError
 
 finite_complex = st.complex_numbers(max_magnitude=5.0, allow_nan=False, allow_infinity=False)
 
@@ -179,6 +180,13 @@ class TestBCH:
 
     def test_under_truncated_probe(self):
         assert bch_check(3.0, build_ladder(16)) > 1e-3
+
+    # at two levels the commutator diag(|alpha|^2, -|alpha|^2) overflows past |alpha| = 1.34e154,
+    # and below that its exponential e^{|alpha|^2 / 2} does
+    @pytest.mark.parametrize("alpha", [1.5e154, 1e154j, 1e10])
+    def test_overflow_is_a_non_finite_error(self, alpha):
+        with pytest.raises(NonFiniteError, match="trunc=2"):
+            bch_check(alpha, build_ladder(2))
 
     @pytest.mark.parametrize("trunc", [64, 256])
     @pytest.mark.parametrize("radius", [1.0, 2.0, 3.0])
