@@ -46,7 +46,6 @@ from .linops import (
 from .pv_measure import (
     FinitePVMeasure,
     NonFiniteError,
-    Observable,
     VectorState,
     born_probabilities,
     born_probability,
@@ -55,7 +54,6 @@ from .pv_measure import (
     pv_from_observable,
 )
 from .spin import (
-    CoherentStateSpin,
     SpherePoint,
     SpinRep,
     binomial_pmf,

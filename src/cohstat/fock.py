@@ -256,7 +256,6 @@ class CoherentStateWH:
     vector is renormalized to unit norm.
     """
 
-    alpha: complex
     vector: VectorState
     tail_mass: float
 
@@ -270,12 +269,7 @@ def coherent_closed_form(alpha: complex, space: FockSpace, tail_tol: float = DEF
             f"tail mass {tail:.3e} above tolerance {tail_tol:.1e}; "
             f"truncation {space.dim} is too small for |alpha|={abs(alpha):.3f}"
         )
-    coefficients = coherent_amplitudes(alpha, space.dim)
-    return CoherentStateWH(
-        alpha=alpha,
-        vector=VectorState.from_unnormalized(coefficients),
-        tail_mass=tail,
-    )
+    return CoherentStateWH(VectorState.from_unnormalized(coherent_amplitudes(alpha, space.dim)), tail)
 
 
 def _displace(alpha: complex, vec: np.ndarray, spectrum: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
@@ -312,11 +306,7 @@ def coherent_via_exponential(alpha: complex, rep: FockSpace) -> CoherentStateWH:
             f"exponential route differs from the closed form by {distance:.3e} "
             f"(limit {_ROUTE_LIMIT:.1e}); truncation {rep.dim} too small for |alpha|={abs(alpha):.3f}"
         )
-    return CoherentStateWH(
-        alpha=alpha,
-        vector=VectorState.from_unnormalized(vec),
-        tail_mass=closed.tail_mass,
-    )
+    return CoherentStateWH(VectorState.from_unnormalized(vec), closed.tail_mass)
 
 
 def bch_check(alpha: complex, rep: FockSpace) -> float:

@@ -7,8 +7,11 @@ this yields, for an observed basis state, a probability distribution on
 the parameter space.  Marginalizing the azimuthal angle and switching to
 the canonical scalar (lambda = r^2 or p = sin^2(theta/2)) must reproduce
 the Gamma(n+1, 1) and Beta(k+1, n-k+1) posterior densities, which are also
-provided analytically for comparison.  Both Poisson rules of a count n sit
-on ``radial_window(n)`` around its peak, so one rule size serves every n.
+provided analytically for comparison.  As the integrand |<phi_n, v>|^2
+depends only on the magnitude m_n(principal), the families here read the
+real magnitudes of ``fock`` and ``spin`` and never a phase.  Both Poisson
+rules of a count n sit on ``radial_window(n)`` around its peak, so one rule
+size, ``RADIAL_NODES``, serves every n.
 Every rule is built on a numpy Gauss-Legendre rule (Halley's iteration on
 the Legendre recurrence) and the weights come from the numpy pmf kernel of
 ``fock``.
@@ -46,6 +49,10 @@ __all__ = [
     "resolution_of_identity_check",
     "sphere_quadrature",
 ]
+
+# Gauss-Legendre nodes on radial_window(n) (its square for the analytic Gamma mass): the window
+# has the same width at every count, so 200 nodes resolve every n.
+RADIAL_NODES = 200
 
 _PLANE_MASS_TOL = 1e-6
 _SPHERE_MASS_TOL = 1e-10
@@ -214,48 +221,36 @@ def plane_moment_residual(rule: QuadratureRule, max_moment: int) -> float:
     return worst
 
 
-def _amplitudes(family, principal, angle) -> np.ndarray:
-    """<phi_k, v> = m_k(principal) e^{+-ik angle} for every k on the product grid, shape (n1, n2, dim)."""
-    k = np.arange(family.dim)
-    magnitude = family.magnitudes(np.asarray(principal, dtype=float)[:, None], k)
-    phase = np.exp(family.phase_sign * 1j * np.multiply.outer(np.asarray(angle, dtype=float), k))
-    return magnitude[:, None, :] * phase[None, :, :]
-
-
-def _amplitude_at(family, index: int, principal, angle=0.0) -> np.ndarray:
-    """<phi_index, v> on the product grid, shape principal.shape + angle.shape (angle 0 by default)."""
+def _amplitude_at(family, index: int, principal) -> np.ndarray:
+    """<phi_index, v> at angle 0: the real magnitude m_index(principal), whose square holds at every angle."""
     if not 0 <= index < family.dim:
         raise ValueError(f"index {index} outside 0..{family.dim - 1}")
-    phase = np.exp(family.phase_sign * 1j * index * np.asarray(angle, dtype=float))
-    return np.multiply.outer(family.magnitudes(np.asarray(principal, dtype=float), index), phase)
+    return family.magnitudes(np.asarray(principal, dtype=float), index)
 
 
 @dataclass(frozen=True)
 class FockCoherentFamily:
-    """Displacement coherent family on the plane, tracked on dim basis elements."""
+    """Displacement coherent family on the plane, tracked on dim basis elements; magnitudes only."""
 
     dim: int
 
     kind = "plane"
-    phase_sign = 1
 
     def __post_init__(self):
         if self.dim < 1:
             raise ValueError(f"dimension must be positive, got {self.dim!r}")
 
     magnitudes = staticmethod(fock.coherent_magnitudes)
-    amplitudes = _amplitudes
     amplitude_at = _amplitude_at
 
 
 @dataclass(frozen=True)
 class SpinCoherentFamily:
-    """Rotation coherent family of a spin-j representation on the sphere."""
+    """Rotation coherent family of a spin-j representation on the sphere; magnitudes only."""
 
     rep: SpinRep
 
     kind = "sphere"
-    phase_sign = -1
 
     @property
     def dim(self) -> int:
@@ -264,7 +259,6 @@ class SpinCoherentFamily:
     def magnitudes(self, principal, k) -> np.ndarray:
         return spin.coherent_magnitudes(self.rep, principal, k)
 
-    amplitudes = _amplitudes
     amplitude_at = _amplitude_at
 
 
@@ -285,8 +279,10 @@ def resolution_of_identity_check(
 
     As the amplitudes are m_k(principal) e^{+-ik angle}, the Gram matrix is
     (M^T diag(w_principal) M) times, entrywise, the Toeplitz angle factor
-    T_kl = sum_g w_g e^{+-i(k-l) angle_g} over the rule's own angle nodes, so
+    T_kl = sum_g w_g e^{i(k-l) angle_g} over the rule's own angle nodes, so
     fewer angle nodes than basis elements (a lag aliases onto 0) still show.
+    The family's sign of the phase would conjugate the Gram matrix, which
+    leaves |gram - I| as it is, so the factor is written with one sign.
 
     For the spin family the integrands are trigonometric polynomials the
     rule integrates exactly, so the residual is quadrature rounding.  For
@@ -302,7 +298,7 @@ def resolution_of_identity_check(
     magnitude = family.magnitudes(rule.principal_nodes[:, None], k)
     principal_gram = (magnitude * rule.principal_weights[:, None]).T @ magnitude
     lags = np.arange(1 - n_basis, n_basis)
-    angle_sums = np.exp(family.phase_sign * 1j * np.multiply.outer(lags, rule.angle_nodes)) @ rule.angle_weights
+    angle_sums = np.exp(1j * np.multiply.outer(lags, rule.angle_nodes)) @ rule.angle_weights
     gram = principal_gram * angle_sums[np.subtract.outer(k, k) + n_basis - 1]
     return float(np.abs(gram - np.eye(n_basis)).max())
 
@@ -391,7 +387,7 @@ def analytic_poisson_posterior(n: int, grid: np.ndarray | None = None) -> Inferr
     """Gamma(n+1, 1) posterior tabulated on the rate grid."""
     grid = default_lambda_grid(n) if grid is None else np.asarray(grid, dtype=float)
     low, high = radial_window(n)
-    mass = _gauss_legendre_mass(lambda lam: inferred_density_poisson(n, lam), low**2, high**2, nodes=200)
+    mass = _gauss_legendre_mass(lambda lam: inferred_density_poisson(n, lam), low**2, high**2, RADIAL_NODES)
     return InferredDistribution(
         parameter="lambda",
         grid=grid,
@@ -443,7 +439,7 @@ def infer_via_pov(
         raise ValueError(f"observed index {observed!r} outside 0..{family.dim - 1}")
 
     angle_mass = float(rule.angle_weights.sum())
-    joint = np.abs(family.amplitude_at(observed, rule.principal_nodes)) ** 2
+    joint = family.amplitude_at(observed, rule.principal_nodes) ** 2
     total_mass = float(rule.principal_weights @ joint) * angle_mass
 
     if rule.kind == "plane":
@@ -466,7 +462,7 @@ def infer_via_pov(
             f"quadrature mass {total_mass!r} deviates from 1 beyond {mass_tol:.1e}; "
             "the rule does not resolve this family"
         )
-    density = scale * angle_mass * np.abs(family.amplitude_at(observed, principal)) ** 2
+    density = scale * angle_mass * family.amplitude_at(observed, principal) ** 2
     return InferredDistribution(
         parameter=parameter,
         grid=grid,

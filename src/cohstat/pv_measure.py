@@ -15,12 +15,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linops import SpectralDecomposition, hermitian_eigendecomposition
+from .linops import hermitian_eigendecomposition
 
 __all__ = [
     "FinitePVMeasure",
     "NonFiniteError",
-    "Observable",
     "VectorState",
     "born_probabilities",
     "born_probability",
@@ -78,20 +77,6 @@ class VectorState:
 
 
 @dataclass(frozen=True)
-class Observable:
-    """Hermitian matrix with its cached spectral decomposition."""
-
-    matrix: np.ndarray
-    spectrum: SpectralDecomposition
-
-    @classmethod
-    def from_matrix(cls, matrix) -> "Observable":
-        """Observable of ``matrix``; Hermitian to ``linops._HERMITIAN_TOL``, else ValueError."""
-        matrix = np.asarray(matrix, dtype=complex)
-        return cls(matrix=matrix, spectrum=hermitian_eigendecomposition(matrix))
-
-
-@dataclass(frozen=True)
 class FinitePVMeasure:
     """Projectors of a discrete spectral measure, one per distinct outcome.
 
@@ -137,15 +122,16 @@ class FinitePVMeasure:
         return idx
 
 
-def pv_from_observable(obs: Observable) -> FinitePVMeasure:
-    """PV measure of an observable, merging eigenvalues within _CLUSTER_TOL.
+def pv_from_observable(matrix) -> FinitePVMeasure:
+    """PV measure of the observable ``matrix``, merging eigenvalues within _CLUSTER_TOL.
 
-    Spectra built here are integers or exact trigonometric values, so
-    clusters are well separated and the threshold is safe.  The clusters
-    are read off the descending spectrum in one pass.
+    ``matrix`` must be Hermitian to ``linops._HERMITIAN_TOL``, else
+    ValueError.  Spectra built here are integers or exact trigonometric
+    values, so clusters are well separated and the threshold is safe.  The
+    clusters are read off the descending spectrum in one pass.
     """
-    eigenvalues = obs.spectrum.eigenvalues
-    vectors = obs.spectrum.eigenvectors
+    spectrum = hermitian_eigendecomposition(matrix)
+    eigenvalues, vectors = spectrum.eigenvalues, spectrum.eigenvectors
     outcomes: list[float] = []
     projectors: list[np.ndarray] = []
     start = 0

@@ -23,7 +23,6 @@ from .linops import matrix_exponential, phase_aligned_distance
 from .pv_measure import VectorState
 
 __all__ = [
-    "CoherentStateSpin",
     "SpherePoint",
     "SpinRep",
     "binomial_pmf",
@@ -63,7 +62,7 @@ def _as_two_j(j) -> int:
 
 @dataclass(frozen=True)
 class SpinRep:
-    """Spin-j representation, carried by 2j; its matrices are built when read, real except J2."""
+    """Spin-j representation, carried by 2j; its real matrices J3, J+ and J- are built when read."""
 
     two_j: int
 
@@ -94,14 +93,6 @@ class SpinRep:
     def j_minus(self) -> np.ndarray:
         """Lowering matrix, the transpose (and adjoint) of the real J+."""
         return self.j_plus.T
-
-    @property
-    def j1(self) -> np.ndarray:
-        return (self.j_plus + self.j_minus) / 2.0
-
-    @property
-    def j2(self) -> np.ndarray:
-        return (self.j_plus - self.j_minus) / 2.0j
 
 
 def build_spin_rep(j) -> SpinRep:
@@ -154,18 +145,9 @@ def coherent_amplitudes(rep: SpinRep, theta, gamma) -> np.ndarray:
     return coherent_magnitudes(rep, np.expand_dims(theta, -1), k) * np.exp(-1j * k * gamma[..., None])
 
 
-@dataclass(frozen=True)
-class CoherentStateSpin:
-    """Rotation coherent state w(theta, gamma) in a spin-j representation."""
-
-    point: SpherePoint
-    vector: VectorState
-
-
-def spin_coherent_closed_form(rep: SpinRep, point: SpherePoint) -> CoherentStateSpin:
-    """Coherent state from the closed-form coefficients (exact unit norm)."""
-    vec = coherent_amplitudes(rep, point.theta, point.gamma)
-    return CoherentStateSpin(point=point, vector=VectorState(vec))
+def spin_coherent_closed_form(rep: SpinRep, point: SpherePoint) -> VectorState:
+    """Coherent state w(theta, gamma) from the closed-form coefficients (exact unit norm)."""
+    return VectorState(coherent_amplitudes(rep, point.theta, point.gamma))
 
 
 def rotation_matrix(rep: SpinRep, point: SpherePoint) -> np.ndarray:
@@ -180,18 +162,17 @@ def rotation_matrix(rep: SpinRep, point: SpherePoint) -> np.ndarray:
     return matrix_exponential(1j * point.theta * generator)
 
 
-def spin_coherent_via_exponential(rep: SpinRep, point: SpherePoint) -> CoherentStateSpin:
+def spin_coherent_via_exponential(rep: SpinRep, point: SpherePoint) -> VectorState:
     """Coherent state from the rotation exponential applied to phi_{-j}.
 
     Raises RuntimeError when the result differs from the closed form by
     more than ``fock._ROUTE_LIMIT`` up to a global phase.
     """
     vec = rotation_matrix(rep, point)[:, 0].copy()
-    closed = spin_coherent_closed_form(rep, point)
-    distance = phase_aligned_distance(vec, closed.vector.vector)
+    distance = phase_aligned_distance(vec, spin_coherent_closed_form(rep, point).vector)
     if distance > _ROUTE_LIMIT:
         raise RuntimeError(f"exponential route differs from the closed form by {distance:.3e} (limit {_ROUTE_LIMIT:.1e})")
-    return CoherentStateSpin(point=point, vector=VectorState.from_unnormalized(vec))
+    return VectorState.from_unnormalized(vec)
 
 
 def gauss_decomposition_check(rep: SpinRep, point: SpherePoint) -> float:

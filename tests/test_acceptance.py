@@ -28,7 +28,6 @@ from cohstat.inference import (
     sphere_quadrature,
 )
 from cohstat.pv_measure import (
-    Observable,
     VectorState,
     born_probabilities,
     gaussian_position_probability,
@@ -52,7 +51,7 @@ def report(number: int, label: str, ok: bool, detail: str = ""):
 
 
 def test_criterion_1_three_level_golden_values():
-    pv = pv_from_observable(Observable.from_matrix(np.diag([1.0, 0.0, -1.0])))
+    pv = pv_from_observable(np.diag([1.0, 0.0, -1.0]))
     xi = VectorState.from_unnormalized(np.array([1.0, 2.0, 3.0j]))
     psi0 = VectorState(np.array([-1.0j, math.sqrt(2.0), 1.0j]) / 2.0)
     worst = max(
@@ -81,7 +80,7 @@ def test_criterion_3_binomial_family_equivalence():
         rep = build_spin_rep(n / 2.0)
         for theta in thetas:
             point = SpherePoint(theta, 1.3)
-            probs = np.abs(spin_coherent_closed_form(rep, point).vector.vector) ** 2
+            probs = np.abs(spin_coherent_closed_form(rep, point).vector) ** 2
             for k, m in enumerate(rep.m_values):
                 worst = max(worst, abs(probs[k] - binomial_pmf(rep, point, m)))
     report(3, "binomial family equivalence", worst < 1e-12, f"worst {worst:.2e}")

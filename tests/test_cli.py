@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from scipy.stats import beta, gamma
 
 import cohstat
-from cohstat import cli, fock, spin
+from cohstat import cli, fock, inference, spin
 from cohstat.cli import ConfigError, RunConfig, load_config, main
 
 
@@ -305,7 +305,7 @@ class TestInferCommand:
         assert not out.exists()
 
     def test_unresolved_quadrature_exits_1(self, monkeypatch, capsys):
-        monkeypatch.setattr(cli, "_PLANE_RADIAL_NODES", 4)
+        monkeypatch.setattr(inference, "RADIAL_NODES", 4)
         assert main(["infer", "poisson", "--observed", "3"]) == 1
         err = capsys.readouterr().err
         assert err.startswith("numerical failure: quadrature mass")

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
+from cohstat import fock, spin
 from cohstat.fock import poisson_pmf
 from cohstat.inference import (
     FockCoherentFamily,
@@ -40,9 +41,17 @@ def basis_state(dim, k):
     return VectorState(vec)
 
 
+def dense_amplitudes(family, principal, angle):
+    """<phi_k, v> for every k on the product grid, shape (n_principal, n_angle, dim), phases included."""
+    principal, angle = np.asarray(principal, dtype=float)[:, None], np.asarray(angle, dtype=float)[None, :]
+    if family.kind == "plane":
+        return fock.coherent_amplitudes(principal * np.exp(1j * angle), family.dim)
+    return spin.coherent_amplitudes(family.rep, principal, angle)
+
+
 def dense_transform(state, family, rule):
     """<phi, v(param)> at every node of ``rule``, flattened in the order of ``rule.nodes``."""
-    return family.amplitudes(rule.principal_nodes, rule.angle_nodes).reshape(-1, family.dim) @ state.vector.conj()
+    return dense_amplitudes(family, rule.principal_nodes, rule.angle_nodes).reshape(-1, family.dim) @ state.vector.conj()
 
 
 def with_angle_nodes(rule, n_gamma):
@@ -168,10 +177,11 @@ class TestInferViaPov:
         assert dist.density[-1] < 1e-16
 
     def test_angular_slices_agree(self):
-        family = FockCoherentFamily(16)
-        rule = plane_quadrature((0.0, 10.0), 50, 9)
-        slices = np.abs(family.amplitude_at(3, np.array([0.7, 1.9]), rule.angle_nodes)) ** 2
-        assert np.abs(slices - slices[:, :1]).max() < 1e-12
+        # the magnitude a family reads is the modulus of its state's amplitude at every angle
+        principal = np.array([0.7, 1.9])
+        for family in (FockCoherentFamily(16), SpinCoherentFamily(build_spin_rep(7.5))):
+            slices = np.abs(dense_amplitudes(family, principal, np.linspace(0.0, 6.0, 9))[:, :, 3]) ** 2
+            assert np.abs(slices - family.amplitude_at(3, principal)[:, None] ** 2).max() < 1e-15
 
     @given(seed=st.integers(0, 2**32 - 1))
     @settings(max_examples=15, deadline=None)
@@ -227,18 +237,18 @@ class TestAngleRuleSize:
 
 def dense_posterior(observed, family, rule, grid):
     """Posterior from the full amplitude tensor, summing the rule's angle nodes."""
-    joint = np.abs(family.amplitudes(rule.principal_nodes, rule.angle_nodes)[:, :, observed]) ** 2
+    joint = np.abs(dense_amplitudes(family, rule.principal_nodes, rule.angle_nodes)[:, :, observed]) ** 2
     mass = rule.principal_weights @ joint @ rule.angle_weights
     if rule.kind == "plane":
         principal, scale = np.sqrt(grid), 1.0 / (2.0 * math.pi)
     else:
         principal, scale = 2.0 * np.arcsin(np.sqrt(grid)), family.dim / (2.0 * math.pi)
-    grid_joint = np.abs(family.amplitudes(principal, rule.angle_nodes)[:, :, observed]) ** 2
+    grid_joint = np.abs(dense_amplitudes(family, principal, rule.angle_nodes)[:, :, observed]) ** 2
     return scale * (grid_joint @ rule.angle_weights), mass
 
 
 def dense_identity_residual(family, rule, n_basis):
-    flat = family.amplitudes(rule.principal_nodes, rule.angle_nodes)[:, :, :n_basis].reshape(-1, n_basis)
+    flat = dense_amplitudes(family, rule.principal_nodes, rule.angle_nodes)[:, :, :n_basis].reshape(-1, n_basis)
     gram = (flat * rule.weights[:, None]).T @ flat.conj()
     return float(np.abs(gram - np.eye(n_basis)).max())
 

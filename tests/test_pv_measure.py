@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from cohstat.pv_measure import (
     FinitePVMeasure,
-    Observable,
     VectorState,
     born_probabilities,
     born_probability,
@@ -18,7 +17,7 @@ from cohstat.pv_measure import (
 
 from helpers import random_unit_vector
 
-THREE_LEVEL = Observable.from_matrix(np.diag([1.0, 0.0, -1.0]))
+THREE_LEVEL = np.diag([1.0, 0.0, -1.0])
 XI = VectorState.from_unnormalized(np.array([1.0, 2.0, 3.0j]))
 PSI0 = VectorState(np.array([-1.0j, math.sqrt(2.0), 1.0j]) / 2.0)
 
@@ -55,12 +54,12 @@ class TestPVFromObservable:
             assert np.abs(projector - expected).max() < 1e-14
 
     def test_identity_single_outcome(self):
-        pv = pv_from_observable(Observable.from_matrix(np.eye(3)))
+        pv = pv_from_observable(np.eye(3))
         assert np.array_equal(pv.outcomes, [1.0])
         assert np.abs(pv.projectors[0] - np.eye(3)).max() < 1e-14
 
     def test_degenerate_cluster_ranks(self):
-        pv = pv_from_observable(Observable.from_matrix(np.diag([2.0, 2.0, 5.0])))
+        pv = pv_from_observable(np.diag([2.0, 2.0, 5.0]))
         assert np.array_equal(pv.outcomes, [5.0, 2.0])
         ranks = [round(np.trace(p).real) for p in pv.projectors]
         assert ranks == [1, 2]

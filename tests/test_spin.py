@@ -69,12 +69,11 @@ class TestBuildSpinRep:
         assert np.array_equal(rep.j_plus, np.array([[0.0, 0.0], [1.0, 0.0]], dtype=complex))
         assert np.array_equal(rep.j_minus, rep.j_plus.conj().T)
 
-    def test_carries_only_two_j_and_real_matrices_but_j2(self):
+    def test_carries_only_two_j_and_real_matrices(self):
         rep = build_spin_rep(2.5)
         assert [field.name for field in dataclasses.fields(rep)] == ["two_j"]
-        for matrix in (rep.j_plus, rep.j_minus, rep.j3, rep.j1):
+        for matrix in (rep.j_plus, rep.j_minus, rep.j3):
             assert matrix.dtype == np.float64
-        assert rep.j2.dtype == np.complex128
 
     def test_trivial_representation(self):
         rep = build_spin_rep(0)
@@ -163,20 +162,20 @@ class TestSpinCoherentClosedForm:
     def test_north_pole_is_lowest_weight(self):
         rep = build_spin_rep(2.0)
         state = spin_coherent_closed_form(rep, SpherePoint(0.0, 0.9))
-        assert np.array_equal(state.vector.vector, basis_vector(5, 0))
+        assert np.array_equal(state.vector, basis_vector(5, 0))
 
     @given(j=half_integers, point=sphere_points)
     @settings(max_examples=40, deadline=None)
     def test_exact_unit_norm(self, j, point):
         state = spin_coherent_closed_form(build_spin_rep(j), point)
-        assert abs(np.linalg.norm(state.vector.vector) - 1.0) < 1e-14
+        assert abs(np.linalg.norm(state.vector) - 1.0) < 1e-14
 
     def test_squared_amplitudes_are_binomial(self):
         rep = build_spin_rep(4.5)
         point = SpherePoint(1.2, 2.7)
         state = spin_coherent_closed_form(rep, point)
         for k, m in enumerate(rep.m_values):
-            assert abs(abs(state.vector.vector[k]) ** 2 - binomial_pmf(rep, point, m)) < 1e-14
+            assert abs(abs(state.vector[k]) ** 2 - binomial_pmf(rep, point, m)) < 1e-14
 
     def test_spin_one_reproduces_three_level_family(self):
         # outcome probabilities (cos^4, 2 sin^2 cos^2, sin^4) of the
@@ -190,7 +189,7 @@ class TestSpinCoherentClosedForm:
             2.0 * math.sin(half) ** 2 * math.cos(half) ** 2,
             math.sin(half) ** 4,
         ]
-        assert np.abs(np.abs(state.vector.vector) ** 2 - expected).max() < 1e-14
+        assert np.abs(np.abs(state.vector) ** 2 - expected).max() < 1e-14
 
     @given(point=sphere_points)
     @settings(max_examples=30, deadline=None)
@@ -205,7 +204,7 @@ class TestSpinCoherentViaExponential:
     def test_north_pole(self):
         rep = build_spin_rep(1.5)
         state = spin_coherent_via_exponential(rep, SpherePoint(0.0, 0.0))
-        assert np.abs(state.vector.vector - basis_vector(4, 0)).max() < 1e-14
+        assert np.abs(state.vector - basis_vector(4, 0)).max() < 1e-14
 
     @pytest.mark.parametrize("j", [0.5, 1.0, 5.0, 12.5, 25.0])
     def test_matches_closed_form(self, j):
@@ -213,7 +212,7 @@ class TestSpinCoherentViaExponential:
         point = SpherePoint(1.1, 2.3)
         via_exp = spin_coherent_via_exponential(rep, point)
         closed = spin_coherent_closed_form(rep, point)
-        assert phase_aligned_distance(via_exp.vector.vector, closed.vector.vector) < 1e-10
+        assert phase_aligned_distance(via_exp.vector, closed.vector) < 1e-10
 
     def test_spin_half_matches_defining_representation(self):
         # 2x2 oracle: exp((i theta/2)(sin g M1 - cos g M2)) acting on the
@@ -224,7 +223,7 @@ class TestSpinCoherentViaExponential:
         state = spin_coherent_via_exponential(rep, point)
         half, g = point.theta / 2.0, point.gamma
         oracle = np.array([math.cos(half), -math.sin(half) * np.exp(-1j * g)])
-        assert phase_aligned_distance(state.vector.vector, oracle) < 1e-13
+        assert phase_aligned_distance(state.vector, oracle) < 1e-13
         assert np.abs(rotation_matrix(rep, point)[:, 0] - oracle).max() < 1e-13
 
 
@@ -257,7 +256,7 @@ class TestGaussDecomposition:
             @ matrix_exponential(-np.conjugate(zeta) * rep.j_minus)
         )
         closed = spin_coherent_closed_form(rep, point)
-        assert np.abs(factored[:, 0] - closed.vector.vector).max() < 1e-13
+        assert np.abs(factored[:, 0] - closed.vector).max() < 1e-13
 
 
 class TestBinomialPmf:
