@@ -313,27 +313,29 @@ def bch_check(alpha: complex, rep: FockSpace) -> float:
     """Residual of exp(O1)exp(O2) = exp([O1,O2]/2) exp(O1+O2) on the vacuum.
 
     O1 = alpha A+ and O2 = -conj(alpha) A, whose commutator is
-    -|alpha|^2 [A+, A], formed from the real ladder matrices.  Both sides
-    are evaluated with the matrix exponential, by independent routes: the
-    single-band O1 and O2 by their terminating power series, the real
-    diagonal commutator entry by entry, and the tridiagonal skew-Hermitian
-    O1 + O2 through the SVD of its even/odd block.  The residual is small
-    only when the truncation is large enough for |alpha|, so this doubles as
-    a truncation probe.  Raises NonFiniteError when either side overflows.
+    -|alpha|^2 [A+, A], formed from the band b of A: A+ A and A A+ are
+    diagonal, [0, b^2] and [b^2, 0], the very values their dense products
+    give.  Both sides are evaluated with the matrix exponential, by
+    independent routes: the single-band O1 and O2 by their terminating power
+    series, the real diagonal commutator entry by entry, and the tridiagonal
+    skew-Hermitian O1 + O2 through the SVD of its even/odd block.  The
+    residual is small only when the truncation is large enough for |alpha|,
+    so this doubles as a truncation probe.  Raises NonFiniteError when
+    either side overflows.
     """
     alpha = complex(alpha)
     annihilation = rep.annihilation
-    creation = annihilation.T
-    o1 = alpha * creation
+    o1 = alpha * annihilation.T
     o2 = -np.conjugate(alpha) * annihilation
+    squares = np.square(np.diagonal(annihilation, 1))
     vacuum = _vacuum(rep.dim)
     residual = math.nan
     with np.errstate(over="ignore", invalid="ignore"):
         # numpy's power gives inf where |alpha|^2 overflows, where Python's ** raises OverflowError
-        cross = -np.float64(abs(alpha)) ** 2 * (creation @ annihilation - annihilation @ creation)
+        cross = -np.float64(abs(alpha)) ** 2 * (np.append(0.0, squares) - np.append(squares, 0.0))
         if np.isfinite(cross).all():
             lhs = matrix_exponential(o1) @ (matrix_exponential(o2) @ vacuum)
-            rhs = matrix_exponential(cross / 2.0) @ (matrix_exponential(o1 + o2) @ vacuum)
+            rhs = matrix_exponential(np.diag(cross / 2.0)) @ (matrix_exponential(o1 + o2) @ vacuum)
             residual = float(np.linalg.norm(lhs - rhs))
     if not math.isfinite(residual):
         raise NonFiniteError(f"bch check overflows at |alpha|={abs(alpha):g} trunc={rep.dim}")

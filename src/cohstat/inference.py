@@ -19,6 +19,7 @@ the Legendre recurrence) and the weights come from the numpy pmf kernel of
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Union
@@ -118,6 +119,7 @@ def _scaled_legendre_pair(n: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray
     return (2 * n - 1) / (2.0 * n) * current, previous
 
 
+@functools.lru_cache(maxsize=8)
 def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
     """Gauss-Legendre nodes (ascending) and weights on [-1, 1] for n >= 1 nodes.
 
@@ -128,6 +130,8 @@ def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
     2/(dP_n/dtheta)^2 at the root, with sin(theta) taken from the x the
     recurrence saw, so no digits are lost near +-1.  The weights are scaled
     to sum to 2, and the other half of the rule is the mirror image.
+    Each size is built once and kept (the last 8 sizes), so both arrays
+    are read-only.
     """
     half = (n + 1) // 2
     k = np.arange(1, half + 1)
@@ -149,7 +153,9 @@ def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
     if n % 2:
         nodes[half - 1] = 0.0
     weights = np.concatenate([weights, weights[::-1][n % 2 :]])
-    return nodes, weights * (2.0 / math.fsum(weights.tolist()))
+    weights *= 2.0 / math.fsum(weights.tolist())
+    nodes.flags.writeable = weights.flags.writeable = False
+    return nodes, weights
 
 
 def plane_quadrature(radial_interval: tuple[float, float], n_r: int, n_angle: int) -> QuadratureRule:

@@ -517,6 +517,46 @@ class TestVerifyCommand:
         assert main(["verify", "--check", "translation", "--trunc", "128", "--out", os.devnull]) == 0
         assert calls == [(128, 128)]
 
+    # the ladder rows read the band of A; their residuals are those of the dense products bit for bit
+    @pytest.mark.parametrize("trunc", [2, 3, 17, 256, 512])
+    def test_ladder_rows_equal_dense_products(self, trunc):
+        rep = fock.build_ladder(trunc)
+        a, number = rep.annihilation, rep.number
+        truncated_identity = np.eye(trunc)
+        truncated_identity[-1, -1] = -(trunc - 1.0)
+        relations = float(np.abs(number - a.T @ a).max())
+        commutation = float(np.abs(a @ a.T - a.T @ a - truncated_identity).max())
+        rows = cli._check_ladder(RunConfig(trunc=trunc))
+        assert [row["residual"] for row in rows[:2]] == [relations, commutation]
+
+    # besides A and N themselves, the ladder rows build no trunc x trunc array
+    def test_ladder_rows_build_no_dense_product(self):
+        trunc = 512
+        tracemalloc.start()
+        try:
+            cli._check_ladder(RunConfig(trunc=trunc))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.5 * trunc * trunc * 8
+
+    # an entry off the band of A, or off the diagonal of N, fails the relations row (exit 1)
+    @pytest.mark.parametrize("matrix, entry", [("annihilation", (0, 0)), ("annihilation", (9, 4)),
+                                               ("annihilation", (0, 15)), ("number", (3, 4))])
+    def test_ladder_check_fails_on_a_stray_entry(self, monkeypatch, tmp_path, matrix, entry):
+        build = getattr(fock.FockSpace, matrix).fget
+
+        def with_stray(space):
+            m = build(space)
+            m[entry] = 0.5
+            return m
+
+        monkeypatch.setattr(fock.FockSpace, matrix, property(with_stray))
+        code, payload = run_json(tmp_path, ["verify", "--check", "ladder", "--trunc", "16"])
+        assert code == 1
+        relations = payload["rows"][0]
+        assert relations["params"] == "relations trunc=16" and relations["status"] == "fail"
+
 
 class TestOutputFormats:
     def test_csv_family(self, tmp_path):

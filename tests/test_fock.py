@@ -194,6 +194,28 @@ class TestBCH:
         alpha = radius * np.exp(0.7j)
         assert bch_check(alpha, build_ladder(trunc)) < 1e-10
 
+    # the commutator comes from the band of A: the residual is that of the dense products bit for bit
+    @pytest.mark.parametrize(
+        "alpha, trunc",
+        [(0.0, 64), (1.0, 64), (3 + 1j, 64), (0.0, 255), (1.0, 255), (3 + 1j, 255), (0.0, 256), (1.0, 256),
+         (3 + 1j, 256), (4.4, 64)],
+    )
+    def test_equals_dense_commutator_reference(self, alpha, trunc):
+        rep = build_ladder(trunc)
+        a = rep.annihilation
+        o1, o2 = alpha * a.T, -np.conjugate(alpha) * a
+        cross = -np.float64(abs(alpha)) ** 2 * (a.T @ a - a @ a.T)
+        vacuum = basis_vector(trunc, 0)
+        lhs = matrix_exponential(o1) @ (matrix_exponential(o2) @ vacuum)
+        rhs = matrix_exponential(cross / 2.0) @ (matrix_exponential(o1 + o2) @ vacuum)
+        residual = bch_check(alpha, rep)
+        assert residual == float(np.linalg.norm(lhs - rhs))
+        assert (residual > 1e-10) == (alpha == 4.4)  # 64 levels are too few for alpha 4.4
+
+    def test_overflow_at_cli_truncation(self):
+        with pytest.raises(NonFiniteError, match="trunc=64"):
+            bch_check(1e200, build_ladder(64))
+
 
 class TestPoissonPmf:
     def test_vacuum_count(self):

@@ -209,6 +209,21 @@ class TestGaussLegendre:
             assert abs(float(w @ x**degree) - exact) <= 1e-14
 
 
+    # each size is built once and kept, so the arrays handed out are read-only
+    def test_rule_is_kept_per_size_and_read_only(self):
+        x, w = _gauss_legendre(37)
+        assert not x.flags.writeable and not w.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            w[0] = 0.0
+        again = _gauss_legendre(37)
+        assert again[0] is x and again[1] is w
+        fresh = _gauss_legendre.__wrapped__(37)
+        assert np.array_equal(fresh[0], x) and np.array_equal(fresh[1], w)
+        other = _gauss_legendre(38)
+        assert other[0].shape == other[1].shape == (38,)
+        assert not np.isin(other[0], x).all()
+
+
 class TestExactDegreeBetaMass:
     @pytest.mark.parametrize("n", [0, 1, 20, 1000, 5000])
     def test_mass_is_one(self, n):
