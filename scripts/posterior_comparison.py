@@ -21,6 +21,7 @@ from cohstat.inference import (
     default_lambda_grid,
     infer_via_pov,
     plane_quadrature,
+    polar_window,
     radial_window,
     sphere_quadrature,
 )
@@ -40,7 +41,7 @@ def poisson_case(n, n_r=200, n_angle=16):
 
 def binomial_case(n, k):
     rep = build_spin_rep(n / 2.0)
-    rule = sphere_quadrature(rep.j)
+    rule = sphere_quadrature(rep.j, polar_window(n, k))
     pov = infer_via_pov(k, SpinCoherentFamily(rep), rule)
     analytic = analytic_binomial_posterior(n, k, pov.grid)
     return pov, analytic

@@ -38,7 +38,6 @@ from .inference import (
     sphere_quadrature,
 )
 from .linops import (
-    SpectralDecomposition,
     hermitian_eigendecomposition,
     matrix_exponential,
     phase_aligned_distance,
@@ -48,7 +47,6 @@ from .pv_measure import (
     NonFiniteError,
     VectorState,
     born_probabilities,
-    born_probability,
     example_family_states,
     gaussian_position_probability,
     pv_from_observable,

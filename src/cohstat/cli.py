@@ -235,11 +235,8 @@ def _family_binomial(config: RunConfig, n: int, p: float) -> dict:
 # ---------------------------------------------------------------------------
 # infer
 
-# Trials `infer binomial` accepts.  Its sphere rule has n + 2 nodes and an
-# O(n^2) recurrence: n = 2**15 takes about 1.4 s, n = 10**8 would take hours,
-# and n = 10**12 would ask for terabytes.  Past n = 16445 the amplitudes
-# overflow and the command exits 1 anyway, so the limit refuses nothing that
-# succeeds.
+# Trials `infer binomial` accepts.  Past n = 16445 the amplitudes overflow and
+# the command exits 1 anyway, so the limit refuses nothing that succeeds.
 _MAX_INFER_BINOMIAL_N = 2**15
 
 
@@ -284,7 +281,7 @@ def _infer_binomial(config: RunConfig, n: int, k: int) -> dict:
     _check_table_rows(config.p_points, "p_points", ConfigError)
     grid = inference.default_p_grid(config.p_points)
     rep = spin.SpinRep(two_j=n)
-    rule = inference.sphere_quadrature(rep.j)
+    rule = inference.sphere_quadrature(rep.j, inference.polar_window(n, k))
     pov = inference.infer_via_pov(k, inference.SpinCoherentFamily(rep), rule, grid)
     analytic = inference.analytic_binomial_posterior(n, k, grid)
     return _infer_payload(config, pov, analytic)

@@ -16,12 +16,9 @@ are pure and operate on plain numpy arrays.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 __all__ = [
-    "SpectralDecomposition",
     "hermitian_eigendecomposition",
     "matrix_exponential",
     "phase_aligned_distance",
@@ -142,28 +139,16 @@ def phase_aligned_distance(u, v) -> float:
     return float(np.linalg.norm(u - eps * v))
 
 
-@dataclass(frozen=True)
-class SpectralDecomposition:
-    """Eigenvalues (descending) and orthonormal eigenvectors of a Hermitian matrix.
-
-    Column i of ``eigenvectors`` belongs to ``eigenvalues[i]``.  Each
-    column is fixed only up to a unit-modulus factor, and within a
-    degenerate cluster only the spanned subspace is meaningful; compare
-    projectors, not columns.
-    """
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
-
-
 # Relative Hermiticity defect ||m - m*||_F / max(1, ||m||_F) a matrix may carry: constructed
 # matrices are Hermitian to rounding only, so this is loose relative to machine precision.
 _HERMITIAN_TOL = 1e-10
 
 
-def hermitian_eigendecomposition(m) -> SpectralDecomposition:
-    """Eigendecomposition of a Hermitian matrix, eigenvalues in descending order.
+def hermitian_eigendecomposition(m) -> tuple[np.ndarray, np.ndarray]:
+    """(eigenvalues, eigenvectors) of a Hermitian matrix as ``np.linalg.eigh`` gives them, but descending.
 
+    A column is fixed only up to a unit-modulus factor, and within a
+    degenerate cluster only the columns' span is, so compare projectors.
     Raises ValueError when ||m - m*||_F exceeds _HERMITIAN_TOL * max(1, ||m||_F).
     """
     m = _as_complex_matrix(m)
@@ -172,4 +157,4 @@ def hermitian_eigendecomposition(m) -> SpectralDecomposition:
     if defect > _HERMITIAN_TOL * scale:
         raise ValueError(f"matrix is not Hermitian within tolerance (defect {defect:.3e})")
     eigenvalues, eigenvectors = np.linalg.eigh((m + m.conj().T) / 2.0)
-    return SpectralDecomposition(eigenvalues=eigenvalues[::-1].copy(), eigenvectors=eigenvectors[:, ::-1])
+    return eigenvalues[::-1].copy(), eigenvectors[:, ::-1]

@@ -22,7 +22,6 @@ __all__ = [
     "NonFiniteError",
     "VectorState",
     "born_probabilities",
-    "born_probability",
     "example_family_states",
     "gaussian_position_probability",
     "pv_from_observable",
@@ -30,10 +29,8 @@ __all__ = [
 
 _UNIT_NORM_TOL = 1e-12
 _PROJECTOR_TOL = 1e-10
-# Eigenvalues within _CLUSTER_TOL of their cluster's first are one outcome, and an outcome
-# within _OUTCOME_MATCH_TOL of a spectrum value names it.
+# Eigenvalues within _CLUSTER_TOL of their cluster's first are one outcome.
 _CLUSTER_TOL = 1e-9
-_OUTCOME_MATCH_TOL = 1e-9
 _NEGATIVE_PROBABILITY_TOL = 1e-10
 
 
@@ -113,14 +110,6 @@ class FinitePVMeasure:
     def dim(self) -> int:
         return self.projectors[0].shape[0]
 
-    def outcome_index(self, outcome: float) -> int:
-        """Index of the outcome within _OUTCOME_MATCH_TOL of ``outcome``; ValueError if none is."""
-        distances = np.abs(self.outcomes - outcome)
-        idx = int(np.argmin(distances))
-        if distances[idx] > _OUTCOME_MATCH_TOL:
-            raise ValueError(f"outcome {outcome!r} is not in the spectrum {self.outcomes}")
-        return idx
-
 
 def pv_from_observable(matrix) -> FinitePVMeasure:
     """PV measure of the observable ``matrix``, merging eigenvalues within _CLUSTER_TOL.
@@ -130,8 +119,7 @@ def pv_from_observable(matrix) -> FinitePVMeasure:
     values, so clusters are well separated and the threshold is safe.  The
     clusters are read off the descending spectrum in one pass.
     """
-    spectrum = hermitian_eigendecomposition(matrix)
-    eigenvalues, vectors = spectrum.eigenvalues, spectrum.eigenvectors
+    eigenvalues, vectors = hermitian_eigendecomposition(matrix)
     outcomes: list[float] = []
     projectors: list[np.ndarray] = []
     start = 0
@@ -145,24 +133,20 @@ def pv_from_observable(matrix) -> FinitePVMeasure:
     return FinitePVMeasure(outcomes=np.asarray(outcomes), projectors=tuple(projectors))
 
 
-def born_probability(state: VectorState, pv: FinitePVMeasure, outcome: float) -> float:
-    """Probability (phi, E({y}) phi) of the given outcome for a vector state.
+def born_probabilities(state: VectorState, pv: FinitePVMeasure) -> np.ndarray:
+    """Probabilities (phi, E({y}) phi) of every outcome y, aligned with ``pv.outcomes``.
 
-    Values in [-1e-12, 1 + 1e-12] are clamped to [0, 1]; anything more
-    negative indicates a bug upstream and raises instead of clamping.
+    Values in [-_NEGATIVE_PROBABILITY_TOL, 0) are clamped to 0 and values
+    above 1 to 1; anything more negative indicates a bug upstream and raises
+    instead of clamping.
     """
     if state.dim != pv.dim:
         raise ValueError(f"dimension mismatch: state {state.dim}, measure {pv.dim}")
-    idx = pv.outcome_index(outcome)
-    raw = float(np.vdot(state.vector, pv.projectors[idx] @ state.vector).real)
-    if raw < -_NEGATIVE_PROBABILITY_TOL:
-        raise ValueError(f"projector expectation is {raw!r}, below rounding tolerance")
-    return min(1.0, max(0.0, raw))
-
-
-def born_probabilities(state: VectorState, pv: FinitePVMeasure) -> np.ndarray:
-    """Probabilities for every outcome, aligned with ``pv.outcomes``."""
-    return np.array([born_probability(state, pv, y) for y in pv.outcomes])
+    v = state.vector
+    raw = np.array([np.vdot(v, projector @ v).real for projector in pv.projectors])
+    if (raw < -_NEGATIVE_PROBABILITY_TOL).any():
+        raise ValueError(f"projector expectations {raw!r} fall below rounding tolerance")
+    return np.clip(raw, 0.0, 1.0)
 
 
 def example_family_states(beta: float, theta: float) -> VectorState:

@@ -369,6 +369,35 @@ class TestInferCommand:
         assert main(["infer", "binomial", "--n", "20", "--k", "7", "--out", os.devnull]) == 0
         assert main(["infer", "binomial", "--n", "21", "--k", "7", "--out", os.devnull]) == 2
 
+    @pytest.mark.parametrize("n", [500, 1000, 2000])
+    @pytest.mark.parametrize("position", ["first", "middle", "last"])
+    def test_binomial_matches_beta_on_the_polar_window(self, tmp_path, n, position):
+        k = {"first": 0, "middle": n // 2, "last": n}[position]
+        code, payload = run_json(tmp_path, ["infer", "binomial", "--n", str(n), "--k", str(k)])
+        assert code == 0
+        grid = np.array([row["parameter"] for row in payload["rows"]])
+        density = np.array([row["density_pov"] for row in payload["rows"]])
+        assert np.abs(density - beta.pdf(grid, k + 1, n - k + 1)).max() < 1e-10
+        footer = payload["footer"]
+        assert abs(footer["total_mass_pov"] - 1.0) < 1e-12
+        assert abs(footer["total_mass_analytic"] - 1.0) < 1e-12
+
+    @pytest.mark.parametrize("n, k, expected", [(32768, 5, 1), (2000, 1000, 0)])
+    def test_binomial_rules_do_not_grow_with_n(self, monkeypatch, n, k, expected):
+        # both the sphere rule and the analytic Beta mass sit on polar_window(n, k)
+        sizes = []
+        build = inference._gauss_legendre
+
+        def spy(size):
+            sizes.append(size)
+            return build(size)
+
+        monkeypatch.setattr(inference, "_gauss_legendre", spy)
+        start = time.perf_counter()
+        assert main(["infer", "binomial", "--n", str(n), "--k", str(k), "--out", os.devnull]) == expected
+        assert time.perf_counter() - start < 0.5
+        assert sizes and max(sizes) <= inference.RADIAL_NODES
+
     def test_large_binomial_posterior(self, tmp_path):
         code, payload = run_json(tmp_path, ["infer", "binomial", "--n", "1000", "--k", "300"])
         assert code == 0

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
+from scipy.stats import beta
 
 from cohstat import fock, spin
 from cohstat.fock import poisson_pmf
@@ -25,6 +26,7 @@ from cohstat.inference import (
     inferred_density_poisson,
     plane_moment_residual,
     plane_quadrature,
+    polar_window,
     radial_window,
     resolution_of_identity_check,
     sphere_quadrature,
@@ -396,6 +398,34 @@ class TestRadialWindow:
         analytic = analytic_poisson_posterior(n, grid)
         assert abs(pov.total_mass - 1.0) < 1e-12
         assert abs(analytic.total_mass - 1.0) < 1e-12
+
+
+class TestPolarWindow:
+    def test_window_is_centred_on_the_peak(self):
+        assert polar_window(0, 0) == polar_window(58, 0) == polar_window(232, 116) == (0.0, math.pi)
+        assert polar_window(10**6, 0) == (0.0, 0.024)
+        assert polar_window(10**6, 10**6) == (math.pi - 0.024, math.pi)
+        assert polar_window(10**4, 5000) == pytest.approx((math.pi / 2.0 - 0.24, math.pi / 2.0 + 0.24), abs=1e-15)
+
+    @given(n=st.integers(0, 10**6), data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_window_holds_the_beta_mass(self, n, data):
+        # b(k; n, sin^2(t/2)) <= e^{-n d^2/4} at a distance d from the peak: e^{-144} at the edges
+        k = data.draw(st.integers(0, n))
+        low, high = polar_window(n, k)
+        a, b = k + 1, n - k + 1
+        assert beta.cdf(math.sin(low / 2.0) ** 2, a, b) + beta.sf(math.sin(high / 2.0) ** 2, a, b) < 1e-50
+
+    def test_whole_sphere_rule_is_the_default(self):
+        for j in (0.5, 5.0, 60.0):
+            default, whole = sphere_quadrature(j), sphere_quadrature(j, (0.0, math.pi))
+            for field in ("principal_nodes", "principal_weights", "angle_nodes", "angle_weights"):
+                assert np.array_equal(getattr(default, field), getattr(whole, field))
+
+    @pytest.mark.parametrize("interval", [(1.0, 1.0), (-0.1, 1.0), (0.0, 3.2), (2.0, 1.0)])
+    def test_rejects_intervals_off_the_sphere(self, interval):
+        with pytest.raises(ValueError, match="polar interval"):
+            sphere_quadrature(2.0, interval)
 
 
 class TestInferredDistributionValidation:

@@ -221,20 +221,19 @@ class TestExponentialRoutes:
 
 class TestHermitianEigendecomposition:
     def test_three_level_observable(self):
-        decomp = hermitian_eigendecomposition(np.diag([1.0, 0.0, -1.0]))
-        assert np.array_equal(decomp.eigenvalues, [1.0, 0.0, -1.0])
-        assert np.array_equal(decomp.eigenvectors, np.eye(3))
+        eigenvalues, eigenvectors = hermitian_eigendecomposition(np.diag([1.0, 0.0, -1.0]))
+        assert np.array_equal(eigenvalues, [1.0, 0.0, -1.0])
+        assert np.array_equal(eigenvectors, np.eye(3))
 
     def test_identity_is_fully_degenerate(self):
-        decomp = hermitian_eigendecomposition(np.eye(4))
-        assert np.array_equal(decomp.eigenvalues, np.ones(4))
-        v = decomp.eigenvectors
+        eigenvalues, v = hermitian_eigendecomposition(np.eye(4))
+        assert np.array_equal(eigenvalues, np.ones(4))
         assert np.abs(v @ v.conj().T - np.eye(4)).max() < 1e-12
 
     def test_number_operator_spectrum(self):
         rep = build_ladder(16)
-        decomp = hermitian_eigendecomposition(rep.number)
-        assert np.array_equal(decomp.eigenvalues, np.arange(15.0, -1.0, -1.0))
+        eigenvalues, _ = hermitian_eigendecomposition(rep.number)
+        assert np.array_equal(eigenvalues, np.arange(15.0, -1.0, -1.0))
 
     def test_rejects_non_hermitian(self):
         with pytest.raises(ValueError, match="not Hermitian"):
@@ -245,13 +244,12 @@ class TestHermitianEigendecomposition:
     def test_invariants(self, seed, dim):
         rng = np.random.default_rng(seed)
         m = random_hermitian(rng, dim, scale=2.0)
-        decomp = hermitian_eigendecomposition(m)
-        v = decomp.eigenvectors
-        assert np.all(np.diff(decomp.eigenvalues) <= 1e-14)
+        eigenvalues, v = hermitian_eigendecomposition(m)
+        assert np.all(np.diff(eigenvalues) <= 1e-14)
         assert np.abs(v.conj().T @ v - np.eye(dim)).max() < 1e-12
         scale = np.linalg.norm(m, "fro")
-        assert np.linalg.norm((v * decomp.eigenvalues) @ v.conj().T - m, "fro") < 1e-10 * max(1.0, scale)
-        residuals = m @ v - v * decomp.eigenvalues
+        assert np.linalg.norm((v * eigenvalues) @ v.conj().T - m, "fro") < 1e-10 * max(1.0, scale)
+        residuals = m @ v - v * eigenvalues
         assert np.linalg.norm(residuals, axis=0).max() < 1e-10 * max(1.0, scale)
 
 

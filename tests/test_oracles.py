@@ -225,6 +225,7 @@ class TestGaussLegendre:
 
 
 class TestExactDegreeBetaMass:
+    # RADIAL_NODES nodes on polar_window(n, k): exact in degree up to n = 399, resolved past it
     @pytest.mark.parametrize("n", [0, 1, 20, 1000, 5000])
     def test_mass_is_one(self, n):
         for k in sorted({0, n // 3, n}):

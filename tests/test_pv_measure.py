@@ -9,7 +9,6 @@ from cohstat.pv_measure import (
     FinitePVMeasure,
     VectorState,
     born_probabilities,
-    born_probability,
     example_family_states,
     gaussian_position_probability,
     pv_from_observable,
@@ -83,12 +82,17 @@ class TestBornProbability:
     def test_eigenstate_is_certain(self):
         pv = pv_from_observable(THREE_LEVEL)
         eta1 = VectorState(np.array([1.0, 0.0, 0.0], dtype=complex))
-        assert born_probability(eta1, pv, 1.0) == 1.0
-        assert born_probability(eta1, pv, 0.0) == 0.0
+        assert np.array_equal(born_probabilities(eta1, pv), [1.0, 0.0, 0.0])
 
-    def test_unknown_outcome(self):
-        with pytest.raises(ValueError, match="not in the spectrum"):
-            born_probability(XI, pv_from_observable(THREE_LEVEL), 0.5)
+    def test_dimension_mismatch(self):
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            born_probabilities(VectorState(np.array([1.0, 0.0])), pv_from_observable(THREE_LEVEL))
+
+    def test_rounding_past_0_and_1_is_clamped(self):
+        # projectors off by 1e-12, inside the measure's own tolerances, give expectations 1 + 1e-12 and -1e-12
+        skewed = np.diag([1.0 + 1e-12, -1e-12])
+        pv = FinitePVMeasure(outcomes=np.array([1.0, -1.0]), projectors=(skewed, skewed[::-1, ::-1]))
+        assert np.array_equal(born_probabilities(VectorState(np.array([1.0, 0.0])), pv), [1.0, 0.0])
 
     @given(seed=st.integers(0, 2**32 - 1))
     @settings(max_examples=30, deadline=None)
