@@ -235,8 +235,9 @@ def _family_binomial(config: RunConfig, n: int, p: float) -> dict:
 # ---------------------------------------------------------------------------
 # infer
 
-# Trials `infer binomial` accepts.  Past n = 16445 the amplitudes overflow and
-# the command exits 1 anyway, so the limit refuses nothing that succeeds.
+# Trials `infer binomial` accepts.  Below it k = n // 100 exits 0 at n as large as 17851; central k
+# overflow sqrt C(n, k) from about n = 2050.  Past it every sampled (n, k) up to 10**6 exits 1: edge
+# magnitudes underflow (quadrature mass 0.0) and central ones overflow.
 _MAX_INFER_BINOMIAL_N = 2**15
 
 

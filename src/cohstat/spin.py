@@ -114,14 +114,13 @@ class SpherePoint:
             raise ValueError(f"gamma must lie in [0, 2*pi), got {self.gamma!r}")
 
 
-def _sqrt_binomials(two_j: int) -> np.ndarray:
-    """sqrt(C(2j, k)) for k = 0..2j; exact integers up to 2j = 60, then sqrt(2^2j b(k; 2j, 1/2)).
+def _sqrt_binomials(two_j: int, k) -> np.ndarray:
+    """sqrt(C(2j, k)) at the indices k only; exact integers up to 2j = 60, then sqrt(2^2j b(k; 2j, 1/2)).
 
     Past sqrt C(2j, j) = 1.8e308 (near 2j = 2050) the central entries are inf.
     """
-    k = np.arange(two_j + 1)
     if two_j <= _EXACT_BINOMIAL_LIMIT:
-        return np.sqrt(np.array([math.comb(two_j, int(i)) for i in k], dtype=float))
+        return np.sqrt(np.vectorize(math.comb, otypes=[float])(two_j, k))
     with np.errstate(over="ignore"):
         return np.sqrt(np.ldexp(_binomial_terms(two_j, k, 0.5), two_j)).astype(float)
 
@@ -129,7 +128,7 @@ def _sqrt_binomials(two_j: int) -> np.ndarray:
 def coherent_magnitudes(rep: SpinRep, theta, k) -> np.ndarray:
     """Real factors sqrt(C(2j,k)) (-sin(t/2))^k (cos(t/2))^{2j-k}, broadcasting theta against k."""
     half = np.asarray(theta, dtype=float) / 2.0
-    magnitude = _sqrt_binomials(rep.two_j)[k] * np.sin(half) ** k * np.cos(half) ** (rep.two_j - k)
+    magnitude = _sqrt_binomials(rep.two_j, k) * np.sin(half) ** k * np.cos(half) ** (rep.two_j - k)
     return (-1.0) ** k * magnitude
 
 

@@ -235,12 +235,6 @@ class TestFamilyCommand:
         assert payload["rows"] == expected
         assert payload["footer"]["max_abs_diff"] == float(max_diff)
 
-    def test_truncation_failure_exits_1(self, capsys):
-        assert main(["family", "poisson", "--lambda", "100", "--trunc", "80"]) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("numerical failure:") and "truncation 80" in err
-        assert err.count("\n") == 1
-
     def test_binomial_column_matches_per_row_pmf(self, tmp_path):
         for n, p in [(0, 0.3), (1, 0.5), (20, 0.3), (60, 0.9), (61, 0.07), (300, 0.41)]:
             code, payload = run_json(tmp_path, ["family", "binomial", "--n", str(n), "--p", repr(p)])
@@ -250,13 +244,6 @@ class TestFamilyCommand:
             assert [row["pmf"] for row in payload["rows"]] == [
                 spin.binomial_pmf(rep, point, k - rep.j) for k in range(n + 1)
             ]
-
-    def test_overflowed_state_is_a_numerical_failure(self, capsys):
-        # sqrt C(2100, 1050) overflows a double, so the closed-form state is not finite
-        assert main(["family", "binomial", "--n", "2100", "--p", "0.3"]) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("numerical failure:") and "non-finite" in err
-        assert err.count("\n") == 1
 
 
 class TestInferCommand:
@@ -325,14 +312,6 @@ class TestInferCommand:
         assert abs(footer["total_mass_pov"] - 1.0) < 1e-12
         assert abs(footer["total_mass_analytic"] - 1.0) < 1e-12
 
-    def test_analytic_mass_past_double_precision_exits_1(self, tmp_path, capsys):
-        # at 10**14 the analytic Gamma mass misses 1 by 3e-10, past its 1e-10 tolerance: a numerical failure
-        out = tmp_path / "out.json"
-        assert main(["infer", "poisson", "--observed", str(10**14), "--out", str(out)]) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("numerical failure: total mass") and err.count("\n") == 1
-        assert not out.exists()
-
     @pytest.mark.parametrize("trunc", ["2", "70"])
     def test_poisson_inference_reads_no_truncation(self, tmp_path, trunc):
         code, reference = run_json(tmp_path, INFER_3, name="reference.json")
@@ -397,6 +376,19 @@ class TestInferCommand:
         assert main(["infer", "binomial", "--n", str(n), "--k", str(k), "--out", os.devnull]) == expected
         assert time.perf_counter() - start < 0.5
         assert sizes and max(sizes) <= inference.RADIAL_NODES
+
+    def test_binomial_evaluates_one_binomial_per_kernel_call(self, monkeypatch):
+        # infer_via_pov reads the magnitude of the observed k alone, so no call evaluates other counts
+        sizes = []
+        terms = spin._binomial_terms
+
+        def spy(n, k, p):
+            sizes.append(np.size(k))
+            return terms(n, k, p)
+
+        monkeypatch.setattr(spin, "_binomial_terms", spy)
+        assert main(["infer", "binomial", "--n", "2000", "--k", "1000", "--out", os.devnull]) == 0
+        assert sizes and max(sizes) == 1
 
     def test_large_binomial_posterior(self, tmp_path):
         code, payload = run_json(tmp_path, ["infer", "binomial", "--n", "1000", "--k", "300"])
@@ -656,14 +648,6 @@ class TestOutputFormats:
         monkeypatch.setattr(cli, "_build_parser", cli._build_parser.__wrapped__)
         assert run_all() == cached
         assert json.loads(cached[1][1].out)["config"]["trunc"] is None
-
-    def test_json_runs_are_byte_identical(self, tmp_path):
-        first = tmp_path / "a.json"
-        second = tmp_path / "b.json"
-        args = ["infer", "binomial", "--n", "4", "--k", "2", "--seed", "3"]
-        assert main([*args, "--out", str(first)]) == 0
-        assert main([*args, "--out", str(second)]) == 0
-        assert first.read_bytes() == second.read_bytes()
 
     def test_stdout_default(self, capsys):
         assert main(["family", "poisson", "--lambda", "0"]) == 0

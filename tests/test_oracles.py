@@ -147,15 +147,15 @@ class TestBinomialKernel:
 
     @pytest.mark.parametrize("two_j", [61, 200, 1000, 2000])
     def test_sqrt_binomials_above_the_exact_range(self, two_j):
-        values = spin._sqrt_binomials(two_j).tolist()
+        values = spin._sqrt_binomials(two_j, np.arange(two_j + 1)).tolist()
         with localcontext() as ctx:
             ctx.prec = DIGITS
             for k in range(0, two_j + 1, max(1, two_j // 40)):
                 assert _relative(values[k], Decimal(math.comb(two_j, k)).sqrt()) <= PMF_TOL
 
     def test_sqrt_binomials_overflow_near_2050(self):
-        assert np.isfinite(spin._sqrt_binomials(2000)).all()
-        assert np.isinf(spin._sqrt_binomials(2100)[1050])
+        assert np.isfinite(spin._sqrt_binomials(2000, np.arange(2001))).all()
+        assert np.isinf(spin._sqrt_binomials(2100, np.arange(2101))[1050])
 
 
 def _legendre_oracle(n: int, start: np.ndarray) -> tuple[list[Decimal], list[Decimal]]:
