@@ -20,10 +20,6 @@ from cohstat.inference import (
     credible_interval,
     default_lambda_grid,
     infer_via_pov,
-    plane_quadrature,
-    polar_window,
-    radial_window,
-    sphere_quadrature,
 )
 from cohstat.spin import build_spin_rep
 
@@ -31,18 +27,15 @@ POISSON_COUNTS = (0, 1, 5, 20)
 BINOMIAL_CASES = ((1, 0), (2, 1), (10, 3), (30, 30))
 
 
-def poisson_case(n, n_r=200, n_angle=16):
+def poisson_case(n):
     grid = default_lambda_grid(n)
-    rule = plane_quadrature(radial_window(n), n_r, n_angle)
-    pov = infer_via_pov(n, FockCoherentFamily(max(64, n + 1)), rule, grid)
+    pov = infer_via_pov(n, FockCoherentFamily(max(64, n + 1)), grid)
     analytic = analytic_poisson_posterior(n, grid)
     return pov, analytic
 
 
 def binomial_case(n, k):
-    rep = build_spin_rep(n / 2.0)
-    rule = sphere_quadrature(rep.j, polar_window(n, k))
-    pov = infer_via_pov(k, SpinCoherentFamily(rep), rule)
+    pov = infer_via_pov(k, SpinCoherentFamily(build_spin_rep(n / 2.0)))
     analytic = analytic_binomial_posterior(n, k, pov.grid)
     return pov, analytic
 

@@ -46,11 +46,6 @@ SCHEMA_VERSION = 1
 
 _ROW_CUMULATIVE_STOP = 1e-12
 
-# Angle nodes of both plane rules, whose radial ones are inference.RADIAL_NODES: 65 = 2 * 32 + 1
-# cover every lag of the identity check's 32-element block (m uniform nodes alias lag m onto lag
-# 0), and `infer poisson` reads only their weight sum, 2 pi.
-_PLANE_ANGLE_NODES = 65
-
 VERIFY_CHECKS = ("ladder", "bch", "gauss", "identity", "translation", "example12")
 
 # Rows a table may have: `family` outcomes, or `infer` grid points (`lambda_points`, `p_points`).
@@ -266,8 +261,7 @@ def _infer_poisson(config: RunConfig, observed: int) -> dict:
         raise UsageError(f"observed count must lie in [0, 2**63), got {observed!r}")
     _check_table_rows(config.lambda_points, "lambda_points", ConfigError)
     grid = inference.default_lambda_grid(observed, config.lambda_points)
-    rule = inference.plane_quadrature(inference.radial_window(observed), inference.RADIAL_NODES, _PLANE_ANGLE_NODES)
-    pov = inference.infer_via_pov(observed, inference.FockCoherentFamily(observed + 1), rule, grid)
+    pov = inference.infer_via_pov(observed, inference.FockCoherentFamily(observed + 1), grid)
     analytic = inference.analytic_poisson_posterior(observed, grid)
     return _infer_payload(config, pov, analytic)
 
@@ -281,9 +275,7 @@ def _infer_binomial(config: RunConfig, n: int, k: int) -> dict:
         raise UsageError(f"n={n!r} is past the limit of {_MAX_INFER_BINOMIAL_N} trials for binomial inference")
     _check_table_rows(config.p_points, "p_points", ConfigError)
     grid = inference.default_p_grid(config.p_points)
-    rep = spin.SpinRep(two_j=n)
-    rule = inference.sphere_quadrature(rep.j, inference.polar_window(n, k))
-    pov = inference.infer_via_pov(k, inference.SpinCoherentFamily(rep), rule, grid)
+    pov = inference.infer_via_pov(k, inference.SpinCoherentFamily(spin.SpinRep(two_j=n)), grid)
     analytic = inference.analytic_binomial_posterior(n, k, grid)
     return _infer_payload(config, pov, analytic)
 
@@ -433,7 +425,9 @@ def _check_identity(config: RunConfig) -> list[dict]:
         family = inference.SpinCoherentFamily(spin.build_spin_rep(j))
         residual = inference.resolution_of_identity_check(family, inference.sphere_quadrature(j))
         rows.append(_verify_row("identity", f"spin j={j}", residual, _threshold(config, 1e-12)))
-    rule = inference.plane_quadrature((0.0, 10.0), inference.RADIAL_NODES, _PLANE_ANGLE_NODES)
+    # 65 = 2 * 32 + 1 angle nodes cover every lag of the 32-element block (m uniform nodes alias
+    # lag m onto lag 0)
+    rule = inference.plane_quadrature((0.0, 10.0), inference.RADIAL_NODES, 65)
     residual = inference.resolution_of_identity_check(
         inference.FockCoherentFamily(32), rule, n_basis=20
     )

@@ -2,22 +2,24 @@
 
 A coherent family paired with its group-invariant measure (Lebesgue on the
 plane with density 1/pi, or (2j+1)/(4pi) sin(theta) on the sphere) defines
-a positive operator-valued measure.  Integrated against a quadrature rule
-this yields, for an observed basis state, a probability distribution on
-the parameter space.  Marginalizing the azimuthal angle and switching to
-the canonical scalar (lambda = r^2 or p = sin^2(theta/2)) must reproduce
-the Gamma(n+1, 1) and Beta(k+1, n-k+1) posterior densities, which are also
-provided analytically for comparison.  As the integrand |<phi_n, v>|^2
-depends only on the magnitude m_n(principal), the families here read the
-real magnitudes of ``fock`` and ``spin`` and never a phase.  Every
-posterior rule sits on a window around its integrand's peak: the Poisson
-rules of a count n on ``radial_window(n)``, the Beta ones of k in n trials
-on ``polar_window(n, k)``.  Both windows end where the integrand is below
-e^{-144} of its peak at every count, so one rule size, ``RADIAL_NODES``,
-serves every n.
-Every rule is built on a numpy Gauss-Legendre rule (Halley's iteration on
-the Legendre recurrence) and the weights come from the numpy pmf kernel of
-``fock``.
+a positive operator-valued measure.  For an observed basis state it yields
+a probability distribution on the parameter space, which must reproduce
+the Gamma(n+1, 1) and Beta(k+1, n-k+1) posterior densities, also provided
+analytically for comparison.  The integrand |<phi_obs, v>|^2 = m_obs(principal)^2
+does not depend on the angle, so the angle integrates out exactly: the
+plane measure (1/pi) r dr dangle is (1/2pi) dlambda dangle, and the sphere
+measure is (2j+1) dp dgamma / 2pi, with lambda = r^2 and p = sin^2(theta/2).
+Each family states its posterior once on that canonical parameter: its
+name, its density m_obs(principal(x))^2 times that constant, the window
+that holds its mass and its default grid.  The window of a count n is
+``radial_window(n)`` squared, that of k in n trials ``polar_window(n, k)``
+taken to p; both end where the density is below e^{-144} of its peak at
+every count, so one rule size, ``RADIAL_NODES``, serves every n, for the
+POV masses and the analytic ones alike.  The families read the real
+magnitudes of ``fock`` and ``spin`` and never a phase.  The product rules
+on the plane and the sphere serve the resolution-of-identity check, where
+the angle nodes matter.  Every rule is built on a numpy Gauss-Legendre rule
+(Halley's iteration on the Legendre recurrence).
 """
 
 from __future__ import annotations
@@ -55,10 +57,9 @@ __all__ = [
     "sphere_quadrature",
 ]
 
-# Gauss-Legendre nodes of every posterior rule and mass: on radial_window(n) (its square for the
-# analytic Gamma mass) and on polar_window(n, k) (in cos(theta) for the sphere rule, in p for the
-# analytic Beta mass).  Each window holds the same number of widths of its peak at every count,
-# so 200 nodes resolve every n.
+# Gauss-Legendre nodes of every posterior mass, POV and analytic: on radial_window(n) squared and
+# on polar_window(n, k) taken to p.  Each window holds the same number of widths of its peak at
+# every count, so 200 nodes resolve every n.  The identity check's plane rule has as many radii.
 RADIAL_NODES = 200
 
 _PLANE_MASS_TOL = 1e-6
@@ -192,29 +193,21 @@ def plane_quadrature(radial_interval: tuple[float, float], n_r: int, n_angle: in
     )
 
 
-def sphere_quadrature(j, polar_interval: tuple[float, float] = (0.0, math.pi)) -> QuadratureRule:
+def sphere_quadrature(j) -> QuadratureRule:
     """Rule for the invariant sphere measure ((2j+1)/4pi) sin(theta) dtheta dgamma.
 
-    Gauss-Legendre in cos(theta) on min(2j+2, RADIAL_NODES) nodes over
-    ``polar_interval`` = (low, high), 0 <= low < high <= pi, times a uniform
-    rule in gamma on 4j+1 nodes.  The polar integrands |m_k|^2 of the spin-j
-    family are polynomials of degree 2j in cos(theta), which these nodes
-    integrate exactly while 2j < 400, and the angle integrands
-    e^{-i(k-l)gamma} have lags |k-l| <= 2j, none of which a uniform rule of
-    2j+1 or more nodes aliases onto lag 0.  The posterior of k in 2j trials
-    needs only ``polar_window(2j, k)``, where RADIAL_NODES nodes resolve
-    every j.
+    Gauss-Legendre in cos(theta) on 2j+2 nodes over the whole sphere, times
+    a uniform rule in gamma on 4j+1 nodes.  The polar integrands |m_k|^2 of
+    the spin-j family are polynomials of degree 2j in cos(theta), which
+    these nodes integrate exactly, and the angle integrands e^{-i(k-l)gamma}
+    have lags |k-l| <= 2j, none of which a uniform rule of 2j+1 or more
+    nodes aliases onto lag 0.
     """
     two_j = spin._as_two_j(j)
-    low, high = polar_interval
-    if not 0.0 <= low < high <= math.pi:
-        raise ValueError(f"polar interval must satisfy 0 <= low < high <= pi, got {polar_interval!r}")
-    n_theta, n_gamma = min(two_j + 2, RADIAL_NODES), 2 * two_j + 1
-    u, w = _gauss_legendre(n_theta)
-    # cos(theta) = middle + half_width u; on the whole sphere that is u itself
-    middle, half_width = (math.cos(low) + math.cos(high)) / 2.0, (math.cos(low) - math.cos(high)) / 2.0
-    theta = np.arccos(middle + half_width * u)[::-1].copy()
-    theta_weights = half_width * w[::-1] * (two_j + 1.0) / (4.0 * math.pi)
+    n_gamma = 2 * two_j + 1
+    u, w = _gauss_legendre(two_j + 2)
+    theta = np.arccos(u)[::-1].copy()
+    theta_weights = w[::-1] * (two_j + 1.0) / (4.0 * math.pi)
     gammas = 2.0 * math.pi * np.arange(n_gamma) / n_gamma
     gamma_weights = np.full(n_gamma, 2.0 * math.pi / n_gamma)
     return QuadratureRule(
@@ -247,18 +240,22 @@ def plane_moment_residual(rule: QuadratureRule, max_moment: int) -> float:
 
 def _amplitude_at(family, index: int, principal) -> np.ndarray:
     """<phi_index, v> at angle 0: the real magnitude m_index(principal), whose square holds at every angle."""
-    if not 0 <= index < family.dim:
-        raise ValueError(f"index {index} outside 0..{family.dim - 1}")
     return family.magnitudes(np.asarray(principal, dtype=float), index)
 
 
 @dataclass(frozen=True)
 class FockCoherentFamily:
-    """Displacement coherent family on the plane, tracked on dim basis elements; magnitudes only."""
+    """Displacement coherent family on the plane, tracked on dim basis elements; magnitudes only.
+
+    Its posterior density on the rate lambda = r^2 is m_n(sqrt(lambda))^2: the plane measure
+    (1/pi) r dr dangle is (1/2pi) dlambda dangle, and the angle integrates to 2pi.
+    """
 
     dim: int
 
     kind = "plane"
+    parameter = "lambda"
+    mass_tol = _PLANE_MASS_TOL
 
     def __post_init__(self):
         if self.dim < 1:
@@ -267,14 +264,30 @@ class FockCoherentFamily:
     magnitudes = staticmethod(fock.coherent_magnitudes)
     amplitude_at = _amplitude_at
 
+    def window(self, observed: int) -> tuple[float, float]:
+        low, high = radial_window(observed)
+        return low**2, high**2
+
+    def density(self, observed: int, lam) -> np.ndarray:
+        return self.amplitude_at(observed, np.sqrt(lam)) ** 2
+
+    def default_grid(self, observed: int) -> np.ndarray:
+        return default_lambda_grid(observed)
+
 
 @dataclass(frozen=True)
 class SpinCoherentFamily:
-    """Rotation coherent family of a spin-j representation on the sphere; magnitudes only."""
+    """Rotation coherent family of a spin-j representation on the sphere; magnitudes only.
+
+    Its posterior density on p = sin^2(theta/2) is (2j+1) m_k(2 arcsin(sqrt(p)))^2: the sphere
+    measure ((2j+1)/4pi) sin(theta) dtheta dgamma is (2j+1) dp dgamma / 2pi.
+    """
 
     rep: SpinRep
 
     kind = "sphere"
+    parameter = "p"
+    mass_tol = _SPHERE_MASS_TOL
 
     @property
     def dim(self) -> int:
@@ -285,13 +298,18 @@ class SpinCoherentFamily:
 
     amplitude_at = _amplitude_at
 
+    def window(self, observed: int) -> tuple[float, float]:
+        low, high = polar_window(self.rep.two_j, observed)
+        return math.sin(low / 2.0) ** 2, math.sin(high / 2.0) ** 2
+
+    def density(self, observed: int, p) -> np.ndarray:
+        return self.dim * self.amplitude_at(observed, 2.0 * np.arcsin(np.sqrt(p))) ** 2
+
+    def default_grid(self, observed: int) -> np.ndarray:
+        return default_p_grid()
+
 
 CoherentFamily = Union[FockCoherentFamily, SpinCoherentFamily]
-
-
-def _check_compatible(family: CoherentFamily, rule: QuadratureRule) -> None:
-    if family.kind != rule.kind:
-        raise ValueError(f"family kind {family.kind!r} does not match rule kind {rule.kind!r}")
 
 
 def resolution_of_identity_check(
@@ -314,7 +332,8 @@ def resolution_of_identity_check(
     number of tracked basis elements; ``n_basis`` restricts the check to
     the leading block.
     """
-    _check_compatible(family, rule)
+    if family.kind != rule.kind:
+        raise ValueError(f"family kind {family.kind!r} does not match rule kind {rule.kind!r}")
     n_basis = family.dim if n_basis is None else n_basis
     if not 1 <= n_basis <= family.dim:
         raise ValueError(f"n_basis must lie in 1..{family.dim}, got {n_basis}")
@@ -331,9 +350,8 @@ def resolution_of_identity_check(
 class InferredDistribution:
     """Tabulated density over a canonical scalar parameter.
 
-    ``total_mass`` is the mass over the construction's full parameter
-    domain (quadrature disk or sphere for the POV route, the analytic
-    normalization for closed forms), not the trapezoid mass of the grid.
+    ``total_mass`` is the Gauss-Legendre mass of the density on the
+    family's window around its peak, not the trapezoid mass of the grid.
     """
 
     parameter: str
@@ -419,91 +437,52 @@ def _gauss_legendre_mass(density, low: float, high: float) -> float:
     return float(np.sum(w * density(t)) * (high - low) / 2.0)
 
 
+def _tabulate(family: CoherentFamily, observed: int, density, grid) -> tuple[np.ndarray, np.ndarray, float]:
+    """The grid (the family's default when None), ``density`` on it, and its mass on the family's window.
+
+    ``density`` meets the grid first, so the analytic densities check their counts before the window
+    reads them.
+    """
+    grid = family.default_grid(observed) if grid is None else np.asarray(grid, dtype=float)
+    return grid, density(grid), _gauss_legendre_mass(density, *family.window(observed))
+
+
 def analytic_poisson_posterior(n: int, grid: np.ndarray | None = None) -> InferredDistribution:
     """Gamma(n+1, 1) posterior tabulated on the rate grid."""
-    grid = default_lambda_grid(n) if grid is None else np.asarray(grid, dtype=float)
-    low, high = radial_window(n)
-    mass = _gauss_legendre_mass(lambda lam: inferred_density_poisson(n, lam), low**2, high**2)
-    return InferredDistribution(
-        parameter="lambda",
-        grid=grid,
-        density=inferred_density_poisson(n, grid),
-        total_mass=mass,
-        source="analytic",
-    )
+    family = FockCoherentFamily(n + 1)
+    density = functools.partial(inferred_density_poisson, n)
+    return InferredDistribution(family.parameter, *_tabulate(family, n, density, grid), "analytic")
 
 
 def analytic_binomial_posterior(n: int, k: int, grid: np.ndarray | None = None) -> InferredDistribution:
     """Beta(k+1, n-k+1) posterior tabulated on the success-probability grid."""
-    grid = default_p_grid() if grid is None else np.asarray(grid, dtype=float)
-    density = inferred_density_binomial(n, k, grid)  # checks n and k before polar_window reads them
-    low, high = polar_window(n, k)
-    p_low, p_high = math.sin(low / 2.0) ** 2, math.sin(high / 2.0) ** 2
-    mass = _gauss_legendre_mass(lambda p: inferred_density_binomial(n, k, p), p_low, p_high)
-    return InferredDistribution(
-        parameter="p",
-        grid=grid,
-        density=density,
-        total_mass=mass,
-        source="analytic",
-    )
+    family = SpinCoherentFamily(SpinRep(two_j=n))
+    density = functools.partial(inferred_density_binomial, n, k)
+    return InferredDistribution(family.parameter, *_tabulate(family, k, density, grid), "analytic")
 
 
-def infer_via_pov(
-    observed: int,
-    family: CoherentFamily,
-    rule: QuadratureRule,
-    grid: np.ndarray | None = None,
-) -> InferredDistribution:
-    """Inferred distribution of the canonical parameter for an observed count.
+def infer_via_pov(observed: int, family: CoherentFamily, grid: np.ndarray | None = None) -> InferredDistribution:
+    """Inferred distribution of the family's canonical parameter for an observed count.
 
-    The joint density |<phi_obs, v(param)>|^2 = |m_obs(principal)|^2 is
-    integrated against the invariant measure.  It does not depend on the
-    azimuthal angle, so the angle marginal is exactly the sum of the rule's
-    angle weights and no angle grid is built.  The polar coordinate is
-    re-expressed on the canonical grid: the plane measure (1/pi) r dr dangle
-    is exactly (1/2pi) d(r^2) dangle so the rate density needs no extra
-    Jacobian, and on the sphere d(sin^2(theta/2)) absorbs the sin(theta)
-    factor.  ``observed`` is the basis index: the count n for the plane
-    family, the relabeled count k = j + ell for the spin family.  Raises
-    ResolutionError when the quadrature mass misses 1.
+    The joint density |<phi_obs, v>|^2 = m_obs(principal)^2 does not depend
+    on the angle, so integrating it against the invariant measure leaves the
+    family's ``density`` on its canonical parameter, which is tabulated on
+    the grid and integrated over the family's window.  ``observed`` is the
+    basis index: the count n for the plane family, the relabeled count
+    k = j + ell for the spin family.  Raises ResolutionError when that mass
+    misses 1 beyond the family's tolerance.
     """
-    _check_compatible(family, rule)
     if not 0 <= observed < family.dim:
         raise ValueError(f"observed index {observed!r} outside 0..{family.dim - 1}")
-
-    angle_mass = float(rule.angle_weights.sum())
-    joint = family.amplitude_at(observed, rule.principal_nodes) ** 2
-    total_mass = float(rule.principal_weights @ joint) * angle_mass
-
-    if rule.kind == "plane":
-        grid = default_lambda_grid(observed) if grid is None else np.asarray(grid, dtype=float)
-        principal = np.sqrt(grid)
-        scale = 1.0 / (2.0 * math.pi)
-        parameter = "lambda"
-        mass_tol = _PLANE_MASS_TOL
-    else:
-        grid = default_p_grid() if grid is None else np.asarray(grid, dtype=float)
-        principal = 2.0 * np.arcsin(np.sqrt(grid))
-        scale = family.dim / (2.0 * math.pi)
-        parameter = "p"
-        mass_tol = _SPHERE_MASS_TOL
-
+    grid, density, total_mass = _tabulate(family, observed, functools.partial(family.density, observed), grid)
     if not math.isfinite(total_mass):
         raise NonFiniteError(f"non-finite quadrature mass {total_mass!r}: the family's amplitudes overflowed")
-    if not abs(total_mass - 1.0) <= mass_tol:
+    if not abs(total_mass - 1.0) <= family.mass_tol:
         raise ResolutionError(
-            f"quadrature mass {total_mass!r} deviates from 1 beyond {mass_tol:.1e}; "
+            f"quadrature mass {total_mass!r} deviates from 1 beyond {family.mass_tol:.1e}; "
             "the rule does not resolve this family"
         )
-    density = scale * angle_mass * family.amplitude_at(observed, principal) ** 2
-    return InferredDistribution(
-        parameter=parameter,
-        grid=grid,
-        density=density,
-        total_mass=total_mass,
-        source="pov-quadrature",
-    )
+    return InferredDistribution(family.parameter, grid, density, total_mass, "pov-quadrature")
 
 
 def credible_interval(dist: InferredDistribution, mass: float) -> tuple[float, float]:

@@ -60,10 +60,16 @@ CONTRACTS = (
              "small JSON runs are byte-identical, with a --seed that infer does not read", repeat=True),
     Contract("infer binomial --n 3000 --k 700", 1, "numerical failure: non-finite quadrature mass",
              "amplitudes that overflow are a numerical failure, never NaN output"),
+    Contract("infer binomial --n 3000 --k 1500", 1, "numerical failure: non-finite quadrature mass",
+             "sqrt C(3000, 1500) overflows at the centre of the window: a numerical failure"),
+    Contract("infer binomial --n 5000 --k 2500", 1, "numerical failure: non-finite quadrature mass",
+             "sqrt C(5000, 2500) overflows at the centre of the window: a numerical failure"),
     Contract("infer binomial --n 8000 --k 5", 1, "numerical failure: grid supports only mass ..., cannot cover",
              "a p grid too coarse to hold the credible masses is a numerical failure"),
+    Contract("infer binomial --n 16000 --k 5", 1, "numerical failure: grid supports only mass ..., cannot cover",
+             "Beta(6, 15996) falls between the first nodes of the p grid: a numerical failure, not a usage error"),
     Contract("infer binomial --n 1000000000000 --k 5", 2, "error: n=1000000000000 is past the limit of 32768 trials",
-             "infer binomial past 2**15 trials is refused before its sphere rule is built (usage error)"),
+             "infer binomial past 2**15 trials is refused before any posterior is computed (usage error)"),
     Contract("infer poisson --observed 1000", 0, None, "a Poisson posterior resolves on its radial window"),
     Contract("infer poisson --observed 1000 --format csv", 0, None, "credible intervals render as CSV footer lines"),
     Contract("infer poisson --observed 1000000", 0, None, "the Poisson radial rule follows the count: "
@@ -81,6 +87,14 @@ CONTRACTS = (
              "a Fock truncation too small for the displacement is a numerical failure"),
     Contract("family binomial --n 10000000 --p 0.5", 2, "error: ...past the limit of 4194304 rows",
              "a family table past the 2**22-row limit is refused before it is built (usage error)"),
+    Contract("family binomial --n 9223372036854775806 --p 0.5", 2, "error: ...past the limit of 4194304 rows",
+             "2**63 - 1 outcomes fit int64, but np.arange of that many is empty: refused before it is built"),
+    Contract("family poisson --lambda 1 --trunc 9223372036854775807", 2, "error: ...past the limit of 4194304 rows",
+             "a truncation of 2**63 - 1 levels fits int64 but is refused before any array is built"),
+    Contract("family binomial --n 9223372036854775807 --p 0.5", 2, "error: n must lie in [0, 2**63 - 1): its n + 1 "
+             "outcomes must stay within the int64 limit", "2**63 outcomes cannot index int64 arrays (usage error)"),
+    Contract("family poisson --lambda 1e308", 2, "error: truncation ... is past the int64 limit 2**63 - 1",
+             "a truncation of about 1e308 levels cannot index int64 arrays (usage error)"),
     Contract("family binomial --n 2100 --p 0.3", 1, "numerical failure: state has non-finite entries",
              "sqrt C(2100, 1050) overflows a double, so the closed-form state is not finite"),
 )

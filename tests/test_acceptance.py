@@ -23,7 +23,6 @@ from cohstat.inference import (
     default_lambda_grid,
     infer_via_pov,
     plane_quadrature,
-    radial_window,
     resolution_of_identity_check,
     sphere_quadrature,
 )
@@ -138,8 +137,7 @@ def test_criterion_6_inferred_posterior_equivalence():
     poisson_sup = poisson_mass_err = 0.0
     for n in (0, 1, 5, 20):
         grid = default_lambda_grid(n)
-        rule = plane_quadrature(radial_window(n), 200, 16)
-        pov = infer_via_pov(n, FockCoherentFamily(max(64, n + 1)), rule, grid)
+        pov = infer_via_pov(n, FockCoherentFamily(max(64, n + 1)), grid)
         analytic = analytic_poisson_posterior(n, grid)
         poisson_sup = max(poisson_sup, float(np.abs(pov.density - analytic.density).max()))
         poisson_mass_err = max(poisson_mass_err, abs(pov.total_mass - 1.0))
@@ -148,7 +146,7 @@ def test_criterion_6_inferred_posterior_equivalence():
     binomial_sup = binomial_mass_err = 0.0
     for n, k in ((1, 0), (2, 1), (10, 3), (30, 30)):
         rep = build_spin_rep(n / 2.0)
-        pov = infer_via_pov(k, SpinCoherentFamily(rep), sphere_quadrature(rep.j))
+        pov = infer_via_pov(k, SpinCoherentFamily(rep))
         analytic = analytic_binomial_posterior(n, k, pov.grid)
         binomial_sup = max(binomial_sup, float(np.abs(pov.density - analytic.density).max()))
         binomial_mass_err = max(binomial_mass_err, abs(pov.total_mass - 1.0))

@@ -56,6 +56,14 @@ def dense_transform(state, family, rule):
     return dense_amplitudes(family, rule.principal_nodes, rule.angle_nodes).reshape(-1, family.dim) @ state.vector.conj()
 
 
+@dataclasses.dataclass(frozen=True)
+class NarrowFockFamily(FockCoherentFamily):
+    """The plane family with its window cut to rates in [0, 2.25], too narrow for counts past 0."""
+
+    def window(self, observed):
+        return 0.0, 2.25
+
+
 def with_angle_nodes(rule, n_gamma):
     """``rule`` with its angle rule replaced by n_gamma uniform nodes."""
     gammas = 2.0 * math.pi * np.arange(n_gamma) / n_gamma
@@ -159,8 +167,7 @@ class TestCoherentTransform:
 class TestInferViaPov:
     def test_poisson_vacuum_posterior_is_exponential(self):
         grid = np.linspace(0.0, 11.0, 1101)  # unit rate is a grid node
-        rule = plane_quadrature(radial_window(0), 200, 16)
-        dist = infer_via_pov(0, FockCoherentFamily(16), rule, grid)
+        dist = infer_via_pov(0, FockCoherentFamily(16), grid)
         assert np.abs(dist.density - np.exp(-grid)).max() < 1e-12
         segment = grid <= 1.0
         mass = np.trapezoid(dist.density[segment], grid[segment])
@@ -168,13 +175,13 @@ class TestInferViaPov:
         assert mass == pytest.approx(0.6321206, abs=1e-5)
 
     def test_binomial_posterior_is_beta(self):
-        dist = infer_via_pov(1, SpinCoherentFamily(build_spin_rep(1.0)), sphere_quadrature(1.0))
+        dist = infer_via_pov(1, SpinCoherentFamily(build_spin_rep(1.0)))
         expected = 6.0 * dist.grid * (1.0 - dist.grid)
         assert np.abs(dist.density - expected).max() < 1e-12
         assert dist.total_mass == pytest.approx(1.0, abs=1e-12)
 
     def test_no_success_density_vanishes_at_certainty(self):
-        dist = infer_via_pov(0, SpinCoherentFamily(build_spin_rep(2.0)), sphere_quadrature(2.0))
+        dist = infer_via_pov(0, SpinCoherentFamily(build_spin_rep(2.0)))
         assert dist.grid[-1] == 1.0
         assert dist.density[-1] < 1e-16
 
@@ -199,42 +206,12 @@ class TestInferViaPov:
         assert np.sum(rule.weights[box] * values[box]) >= 0.0
 
     def test_rejects_bad_observed_index(self):
-        rule = plane_quadrature((0.0, 8.0), 50, 9)
         with pytest.raises(ValueError, match="observed index"):
-            infer_via_pov(40, FockCoherentFamily(16), rule)
+            infer_via_pov(40, FockCoherentFamily(16))
 
     def test_rejects_insufficient_quadrature(self):
-        rule = plane_quadrature((0.0, 1.5), 50, 9)
         with pytest.raises(ValueError, match="quadrature mass"):
-            infer_via_pov(2, FockCoherentFamily(16), rule)
-
-
-class TestAngleRuleSize:
-    """``infer_via_pov`` reads an angle rule only through its weight sum, 2 pi at any node count."""
-
-    def assert_same_posterior(self, dist, reference):
-        np.testing.assert_allclose(dist.density, reference.density, rtol=1e-15, atol=0.0)
-        assert dist.total_mass == pytest.approx(reference.total_mass, rel=1e-15, abs=0.0)
-        for mass in (0.5, 0.9, 0.95):
-            assert credible_interval(dist, mass) == credible_interval(reference, mass)
-
-    @pytest.mark.parametrize("observed", [0, 7, 200])
-    def test_plane_angle_nodes(self, observed):
-        family = FockCoherentFamily(max(64, observed + 1))
-        grid = default_lambda_grid(observed)
-        window = radial_window(observed)
-        reference = infer_via_pov(observed, family, plane_quadrature(window, 200, 65), grid)
-        for n_angle in (2, 16, 65, 1000):
-            dist = infer_via_pov(observed, family, plane_quadrature(window, 200, n_angle), grid)
-            self.assert_same_posterior(dist, reference)
-
-    @pytest.mark.parametrize("n, k", [(1, 0), (14, 4), (20, 7), (41, 13), (200, 66)])
-    def test_sphere_angle_nodes(self, n, k):
-        rep = build_spin_rep(n / 2.0)
-        family = SpinCoherentFamily(rep)
-        reference = infer_via_pov(k, family, sphere_quadrature(rep.j))
-        dist = infer_via_pov(k, family, with_angle_nodes(sphere_quadrature(rep.j), rep.two_j + 1))
-        self.assert_same_posterior(dist, reference)
+            infer_via_pov(2, NarrowFockFamily(16))
 
 
 def dense_posterior(observed, family, rule, grid):
@@ -269,7 +246,7 @@ class TestSeparableAmplitudes:
         for rule in (sphere_quadrature(j), coarse_angle_rule(j)):
             for observed in range(family.dim):
                 dense, mass = dense_posterior(observed, family, rule, grid)
-                dist = infer_via_pov(observed, family, rule, grid)
+                dist = infer_via_pov(observed, family, grid)
                 # subnormal densities near p = 0 or 1 carry no relative precision
                 np.testing.assert_allclose(dist.density, dense, rtol=1e-13, atol=np.finfo(float).tiny)
                 assert dist.total_mass == pytest.approx(mass, rel=1e-13, abs=0.0)
@@ -280,7 +257,7 @@ class TestSeparableAmplitudes:
             grid = default_lambda_grid(observed)
             rule = plane_quadrature(radial_window(observed), 200, 16)
             dense, mass = dense_posterior(observed, family, rule, grid)
-            dist = infer_via_pov(observed, family, rule, grid)
+            dist = infer_via_pov(observed, family, grid)
             np.testing.assert_allclose(dist.density, dense, rtol=1e-13, atol=np.finfo(float).tiny)
             assert dist.total_mass == pytest.approx(mass, rel=1e-13, abs=0.0)
 
@@ -309,10 +286,9 @@ class TestSeparableAmplitudes:
     def test_posterior_memory_is_linear_in_the_rule(self):
         # the dense angle tensor at j = 100 would need about 1.3 GB
         family = SpinCoherentFamily(build_spin_rep(100))
-        rule = sphere_quadrature(100)
         tracemalloc.start()
         try:
-            dist = infer_via_pov(60, family, rule)
+            dist = infer_via_pov(60, family)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -320,9 +296,8 @@ class TestSeparableAmplitudes:
         assert peak < 16 * 2**20
 
     def test_unresolved_rule_raises_resolution_error(self):
-        rule = plane_quadrature((0.0, 1.5), 50, 9)
         with pytest.raises(ResolutionError, match="quadrature mass"):
-            infer_via_pov(2, FockCoherentFamily(16), rule)
+            infer_via_pov(2, NarrowFockFamily(16))
 
 
 class TestAnalyticDensities:
@@ -394,7 +369,7 @@ class TestRadialWindow:
         # the e^{-r^2} r^{2n} peak has the same width at every n, so 200 nodes on the window serve every count
         n = int(math.expm1(log_count))
         grid = default_lambda_grid(n, 11)
-        pov = infer_via_pov(n, FockCoherentFamily(n + 1), plane_quadrature(radial_window(n), 200, 2), grid)
+        pov = infer_via_pov(n, FockCoherentFamily(n + 1), grid)
         analytic = analytic_poisson_posterior(n, grid)
         assert abs(pov.total_mass - 1.0) < 1e-12
         assert abs(analytic.total_mass - 1.0) < 1e-12
@@ -415,17 +390,6 @@ class TestPolarWindow:
         low, high = polar_window(n, k)
         a, b = k + 1, n - k + 1
         assert beta.cdf(math.sin(low / 2.0) ** 2, a, b) + beta.sf(math.sin(high / 2.0) ** 2, a, b) < 1e-50
-
-    def test_whole_sphere_rule_is_the_default(self):
-        for j in (0.5, 5.0, 60.0):
-            default, whole = sphere_quadrature(j), sphere_quadrature(j, (0.0, math.pi))
-            for field in ("principal_nodes", "principal_weights", "angle_nodes", "angle_weights"):
-                assert np.array_equal(getattr(default, field), getattr(whole, field))
-
-    @pytest.mark.parametrize("interval", [(1.0, 1.0), (-0.1, 1.0), (0.0, 3.2), (2.0, 1.0)])
-    def test_rejects_intervals_off_the_sphere(self, interval):
-        with pytest.raises(ValueError, match="polar interval"):
-            sphere_quadrature(2.0, interval)
 
 
 class TestInferredDistributionValidation:
@@ -469,10 +433,9 @@ class TestInferredDistributionValidation:
     def test_pov_route_reports_overflowed_amplitudes(self):
         # sqrt C(3000, 700) overflows, so the joint density holds inf * 0 = NaN
         rep = build_spin_rep(1500)
-        rule = sphere_quadrature(rep.j)
         with pytest.raises(NonFiniteError, match="non-finite quadrature mass"):
             with np.errstate(over="ignore", invalid="ignore"):
-                infer_via_pov(700, SpinCoherentFamily(rep), rule)
+                infer_via_pov(700, SpinCoherentFamily(rep))
 
 
 def brute_force_interval(dist, mass):
