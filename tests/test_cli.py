@@ -177,6 +177,24 @@ class TestFamilyCommand:
         assert main(["family", "poisson"]) == 2
         assert "error" in capsys.readouterr().err
 
+    # tables int64 can index but numpy cannot build (np.arange of 2**63 - 1 is empty), and one
+    # of 7.3 TiB, are refused before any array is built or any --out file is written
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["binomial", "--n", str(2**63 - 2), "--p", "0.5"],
+            ["poisson", "--lambda", "1", "--trunc", str(2**63 - 1)],
+            ["binomial", "--n", str(10**12), "--p", "0.5"],
+        ],
+    )
+    def test_tables_past_the_row_limit_are_usage_errors(self, tmp_path, capsys, argv):
+        out = tmp_path / "out.json"
+        assert main(["family", *argv, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "limit of 4194304 rows" in err
+        assert err.count("\n") == 1
+        assert not out.exists()
+
     def test_row_limit_admits_tables_up_to_it(self, monkeypatch):
         monkeypatch.setattr(cli, "_MAX_FAMILY_ROWS", 3)
         assert main(["family", "binomial", "--n", "2", "--p", "0.5", "--out", os.devnull]) == 0
@@ -255,6 +273,26 @@ class TestInferCommand:
             assert main(["infer", *argv]) == 2
             err = capsys.readouterr().err
             assert err.startswith("error:") and "2**63" in err and err.count("\n") == 1
+
+    # tests/cli_contracts.py pins these failures on stdout; here they must leave no --out file
+    @pytest.mark.parametrize("n, k", [(3000, 700)])
+    def test_overflowed_amplitudes_are_a_numerical_failure(self, tmp_path, capsys, n, k):
+        out = tmp_path / "out.json"
+        assert main(["infer", "binomial", "--n", str(n), "--k", str(k), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure:") and "non-finite" in err
+        assert err.count("\n") == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("n", [8000])
+    def test_unresolved_credible_interval_exits_1(self, tmp_path, capsys, n):
+        # the default p grid does not resolve Beta(6, n - 4), which is a numerical failure, not a usage error
+        out = tmp_path / "out.json"
+        assert main(["infer", "binomial", "--n", str(n), "--k", "5", "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure: grid supports only mass") and "cannot cover" in err
+        assert err.count("\n") == 1
+        assert not out.exists()
 
     def test_unresolved_quadrature_exits_1(self, monkeypatch, capsys):
         monkeypatch.setattr(inference, "RADIAL_NODES", 4)
