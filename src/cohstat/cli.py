@@ -231,8 +231,9 @@ def _family_binomial(config: RunConfig, n: int, p: float) -> dict:
 # infer
 
 # Trials `infer binomial` accepts.  Below it k = n // 100 exits 0 at n as large as 17851; central k
-# overflow sqrt C(n, k) from about n = 2050.  Past it every sampled (n, k) up to 10**6 exits 1: edge
-# magnitudes underflow (quadrature mass 0.0) and central ones overflow.
+# overflow sqrt C(n, k) from about n = 2050; k = 0 and k = n exit 1 from n = 16446, where 2**-n is
+# below the least extended-precision subnormal (quadrature mass 0.0).  Past it every sampled (n, k)
+# up to 10**6 exits 1: edge magnitudes underflow (quadrature mass 0.0) and central ones overflow.
 _MAX_INFER_BINOMIAL_N = 2**15
 
 

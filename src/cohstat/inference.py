@@ -478,47 +478,41 @@ def infer_via_pov(observed: int, family: CoherentFamily, grid: np.ndarray | None
     if not math.isfinite(total_mass):
         raise NonFiniteError(f"non-finite quadrature mass {total_mass!r}: the family's amplitudes overflowed")
     if not abs(total_mass - 1.0) <= family.mass_tol:
-        raise ResolutionError(
-            f"quadrature mass {total_mass!r} deviates from 1 beyond {family.mass_tol:.1e}; "
-            "the rule does not resolve this family"
-        )
+        cause = "the rule does not resolve this family"
+        if total_mass == 0.0:
+            cause = "every magnitude on the window underflowed"
+        raise ResolutionError(f"quadrature mass {total_mass!r} deviates from 1 beyond {family.mass_tol:.1e}; {cause}")
     return InferredDistribution(family.parameter, grid, density, total_mass, "pov-quadrature")
 
 
 def credible_interval(dist: InferredDistribution, mass: float) -> tuple[float, float]:
     """Shortest grid-supported interval holding at least the requested mass.
 
-    Interval masses are trapezoidal on the grid.  Flat-topped densities
-    admit many windows of the same minimal grid width, so ties in width
-    (up to rounding) break toward the largest enclosed mass, then toward
-    the lower left endpoint.  Raises ResolutionError when no grid interval
-    reaches the mass.
+    Interval masses are trapezoidal on the grid, read as differences of the
+    cumulative mass.  Each left end takes the first right end whose window's
+    own difference reaches the mass.  Flat-topped densities admit many
+    windows of the same minimal grid width, so every window within
+    1e-12 max(1, span) of the narrowest ties; among them the heaviest wins,
+    then the leftmost.  Raises ResolutionError when no grid interval reaches
+    the mass.
     """
     if not 0.0 < mass < 1.0:
         raise ValueError(f"mass must lie strictly between 0 and 1, got {mass!r}")
-    segments = 0.5 * (dist.density[1:] + dist.density[:-1]) * np.diff(dist.grid)
-    # the two-pointer scan runs over Python floats: the same IEEE double
-    # arithmetic as numpy scalars, without their per-element overhead
-    cumulative = [0.0, *np.cumsum(segments).tolist()]
-    grid = dist.grid.tolist()
+    grid = dist.grid
+    segments = 0.5 * (dist.density[1:] + dist.density[:-1]) * np.diff(grid)
+    cumulative = np.concatenate([[0.0], np.cumsum(segments)])
     if cumulative[-1] < mass:
-        raise ResolutionError(f"grid supports only mass {cumulative[-1]!r}, cannot cover {mass!r}")
-    width_tol = 1e-12 * max(1.0, grid[-1] - grid[0])
-    best: tuple[float, float, int, int] | None = None
-    right = 0
-    last = len(grid) - 1
-    for left, (base, x_left) in enumerate(zip(cumulative, grid)):
-        if right < left:
-            right = left
-        while right < last and cumulative[right] - base < mass:
-            right += 1
-        window_mass = cumulative[right] - base
-        if window_mass < mass:
-            break
-        width = grid[right] - x_left
-        shorter = best is None or width < best[0] - width_tol
-        heavier_tie = not shorter and abs(width - best[0]) <= width_tol and window_mass > best[1]
-        if shorter or heavier_tie:
-            best = (width, window_mass, left, right)
-    assert best is not None
-    return grid[best[2]], grid[best[3]]
+        raise ResolutionError(f"grid supports only mass {float(cumulative[-1])!r}, cannot cover {mass!r}")
+    lefts = np.flatnonzero(cumulative[-1] - cumulative >= mass)
+    base = cumulative[lefts]
+    rights = np.minimum(np.searchsorted(cumulative, base + mass), cumulative.size - 1)
+    # base + mass rounds: step over runs of equal sums until the window's own
+    # difference cumulative[r] - base picks the first right end reaching the mass
+    while (short := cumulative[rights] - base < mass).any():
+        rights[short] = np.searchsorted(cumulative, cumulative[rights[short]], "right")
+    while (early := (rights > lefts) & (cumulative[rights - 1] - base >= mass)).any():
+        rights[early] = np.searchsorted(cumulative, cumulative[rights[early] - 1])
+    widths = grid[rights] - grid[lefts]
+    narrowest = np.flatnonzero(widths <= widths.min() + 1e-12 * max(1.0, grid[-1] - grid[0]))
+    best = narrowest[np.argmax(cumulative[rights[narrowest]] - base[narrowest])]
+    return float(grid[lefts[best]]), float(grid[rights[best]])

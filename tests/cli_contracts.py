@@ -68,12 +68,20 @@ CONTRACTS = (
              "a p grid too coarse to hold the credible masses is a numerical failure"),
     Contract("infer binomial --n 16000 --k 5", 1, "numerical failure: grid supports only mass ..., cannot cover",
              "Beta(6, 15996) falls between the first nodes of the p grid: a numerical failure, not a usage error"),
+    Contract("infer binomial --n 16445 --k 0", 0, None, "b(0; 16445, 1/2) = 2**-16445 is still an extended-precision "
+             "subnormal, so the edge magnitudes resolve"),
+    Contract("infer binomial --n 16446 --k 0", 1, "numerical failure: quadrature mass 0.0 ...every magnitude on the "
+             "window underflowed", "b(0; 16446, 1/2) = 2**-16446 is below the least extended-precision subnormal "
+             "before np.ldexp scales it back, so every magnitude on the window is 0"),
     Contract("infer binomial --n 1000000000000 --k 5", 2, "error: n=1000000000000 is past the limit of 32768 trials",
              "infer binomial past 2**15 trials is refused before any posterior is computed (usage error)"),
     Contract("infer poisson --observed 1000", 0, None, "a Poisson posterior resolves on its radial window"),
     Contract("infer poisson --observed 1000 --format csv", 0, None, "credible intervals render as CSV footer lines"),
     Contract("infer poisson --observed 1000000", 0, None, "the Poisson radial rule follows the count: "
              "a million counts resolve, byte-identically across runs", repeat=True),
+    Contract("infer poisson --observed 30000000", 1, "numerical failure: grid supports only mass ..., cannot cover",
+             "the 2001-point lambda grid steps past the width of Gamma(3e7 + 1, 1): it holds 0.911 of the mass, "
+             "short of the 0.95 level"),
     Contract("infer poisson --observed 100000000000000", 1, "numerical failure: total mass",
              "an analytic Gamma mass that misses 1 at 10**14 counts is a numerical failure"),
     Contract("infer poisson --observed 3", 2, "config error: lambda_points must be an integer",

@@ -4,7 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.stats import beta
@@ -459,7 +459,7 @@ def brute_force_interval(dist, mass):
 
 
 def numpy_scalar_interval(dist, mass):
-    """The two-pointer scan of credible_interval over numpy scalars, as an exact oracle for its list form."""
+    """The two-pointer scan credible_interval ran before its vectorized search, kept as an exact reference."""
     grid = dist.grid
     segments = 0.5 * (dist.density[1:] + dist.density[:-1]) * np.diff(grid)
     cumulative = np.concatenate([[0.0], np.cumsum(segments)])
@@ -482,19 +482,78 @@ def numpy_scalar_interval(dist, mass):
     return float(grid[best[2]]), float(grid[best[3]])
 
 
+@st.composite
+def interval_cases(draw):
+    """A posterior, flat or zero-run density on a uniform or uneven grid of 2-4096 points,
+    with the trapezoid mass the grid supports."""
+    points = draw(st.integers(2, 4096))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["posterior", "flat", "zero-run"]))
+    if draw(st.booleans()):
+        grid = np.linspace(0.0, 1.0, points)
+    else:
+        grid = np.concatenate([[0.0], np.cumsum(rng.uniform(0.05, 1.0, points - 1))])
+        grid /= grid[-1]
+    if kind == "posterior":
+        n = draw(st.integers(0, 2000))
+        density = inferred_density_binomial(n, draw(st.integers(0, n)), grid)
+    elif kind == "flat":
+        density = np.ones(points)
+    else:
+        density = rng.random(points)
+        for start in rng.integers(0, points, rng.integers(1, 4)):
+            density[start : start + rng.integers(1, max(2, points // 4))] = 0.0
+    grid = grid * draw(st.sampled_from([1e-3, 0.1, 1.0, 1e3]))
+    segments = 0.5 * (density[1:] + density[:-1]) * np.diff(grid)
+    if segments.sum() > 0.0:
+        density = density / segments.sum()
+    dist = InferredDistribution("p", grid, density, 1.0, "pov-quadrature")
+    return dist, float(np.cumsum(0.5 * (dist.density[1:] + dist.density[:-1]) * np.diff(dist.grid))[-1])
+
+
 class TestCredibleInterval:
     @pytest.mark.parametrize("mass", [0.5, 0.9, 0.95])
-    @pytest.mark.parametrize("n", [0, 1, 200, 999])
+    @pytest.mark.parametrize("n", [0, 1, 200, 999, 10**6])
     def test_poisson_matches_numpy_scalar_scan(self, n, mass):
         dist = analytic_poisson_posterior(n)
         assert credible_interval(dist, mass) == numpy_scalar_interval(dist, mass)
 
     @pytest.mark.parametrize("mass", [0.5, 0.9, 0.95])
-    @pytest.mark.parametrize("n, k", [(0, 0), (20, 7), (200, 77)])
+    @pytest.mark.parametrize("n, k", [(0, 0), (20, 7), (200, 77), (2000, 1000), (1000, 0)])
     def test_binomial_matches_numpy_scalar_scan(self, n, k, mass):
         # (0, 0) is the flat density, where every window of the minimal width ties
         dist = analytic_binomial_posterior(n, k)
         assert credible_interval(dist, mass) == numpy_scalar_interval(dist, mass)
+
+    @pytest.mark.parametrize("mass", [0.5, 0.9, 0.95])
+    @pytest.mark.parametrize("points", [2, 3, 213])
+    def test_flat_beta_on_small_grids_matches_numpy_scalar_scan(self, points, mass):
+        dist = analytic_binomial_posterior(0, 0, np.linspace(0.0, 1.0, points))
+        assert credible_interval(dist, mass) == numpy_scalar_interval(dist, mass)
+
+    @pytest.mark.parametrize(
+        "span, points, mass",
+        [
+            # base + mass rounds, so a plain search lands a grid step off the right end the scan takes
+            (1e-3, 213, 0.5),
+            (0.01, 41, 0.5),
+            # the search for base + mass runs past the last grid point
+            (0.1, 85, 0.75),
+        ],
+    )
+    def test_flat_density_rounding_matches_numpy_scalar_scan(self, span, points, mass):
+        grid = np.linspace(0.0, span, points)
+        dist = InferredDistribution("p", grid, np.full(points, 1.0 / span), 1.0, "pov-quadrature")
+        assert credible_interval(dist, mass) == numpy_scalar_interval(dist, mass)
+
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(case=interval_cases(), mass=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
+    def test_matches_numpy_scalar_scan_on_any_grid(self, case, mass):
+        dist, supported = case
+        assume(mass <= supported)
+        low, high = credible_interval(dist, mass)
+        assert (low, high) == numpy_scalar_interval(dist, mass)
+        assert type(low) is float and type(high) is float
 
     def test_symmetric_beta(self):
         dist = analytic_binomial_posterior(2, 1)
@@ -527,6 +586,16 @@ class TestCredibleInterval:
         dist = InferredDistribution("p", grid, density, 1.0, "pov-quadrature")
         with pytest.raises(ValueError, match="cannot cover"):
             credible_interval(dist, 0.5)
+
+    def test_unreachable_mass_is_reported_as_a_plain_float(self):
+        grid = np.linspace(0.0, 0.2, 50)
+        density = inferred_density_binomial(2, 2, grid)
+        dist = InferredDistribution("p", grid, density, 1.0, "pov-quadrature")
+        supported = float(np.cumsum(0.5 * (density[1:] + density[:-1]) * np.diff(grid))[-1])
+        with pytest.raises(ResolutionError) as raised:
+            credible_interval(dist, 0.5)
+        assert str(raised.value) == f"grid supports only mass {supported!r}, cannot cover 0.5"
+        assert "np.float64(" not in str(raised.value)
 
     def test_rejects_degenerate_mass(self):
         dist = analytic_binomial_posterior(2, 1)
