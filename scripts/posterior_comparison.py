@@ -18,7 +18,6 @@ from cohstat.inference import (
     analytic_binomial_posterior,
     analytic_poisson_posterior,
     credible_interval,
-    default_lambda_grid,
     infer_via_pov,
 )
 from cohstat.spin import build_spin_rep
@@ -28,9 +27,8 @@ BINOMIAL_CASES = ((1, 0), (2, 1), (10, 3), (30, 30))
 
 
 def poisson_case(n):
-    grid = default_lambda_grid(n)
-    pov = infer_via_pov(n, FockCoherentFamily(max(64, n + 1)), grid)
-    analytic = analytic_poisson_posterior(n, grid)
+    pov = infer_via_pov(n, FockCoherentFamily(max(64, n + 1)))
+    analytic = analytic_poisson_posterior(n, pov.grid)
     return pov, analytic
 
 

@@ -237,18 +237,24 @@ def _family_binomial(config: RunConfig, n: int, p: float) -> dict:
 _MAX_INFER_BINOMIAL_N = 2**15
 
 
-def _infer_payload(config: RunConfig, pov, analytic) -> dict:
-    absdiff = np.abs(pov.density - analytic.density)
+def _infer(config: RunConfig, family, observed: int, points_key: str, analytic) -> dict:
+    """Tabulate the POV posterior of ``observed`` and ``analytic(grid)`` on the family's default grid."""
+    points = getattr(config, points_key)
+    _check_table_rows(points, points_key, ConfigError)
+    grid = family.default_grid(observed, points)
+    pov = inference.infer_via_pov(observed, family, grid)
+    reference = analytic(grid)
+    absdiff = np.abs(pov.density - reference.density)
     rows = {
         "parameter": pov.grid.tolist(),
         "density_pov": pov.density.tolist(),
-        "density_analytic": analytic.density.tolist(),
+        "density_analytic": reference.density.tolist(),
         "absdiff": absdiff.tolist(),
     }
     intervals = [(level, *inference.credible_interval(pov, level)) for level in config.mass_levels]
     footer = {
         "total_mass_pov": pov.total_mass,
-        "total_mass_analytic": analytic.total_mass,
+        "total_mass_analytic": reference.total_mass,
         "sup_abs_diff": float(absdiff.max()),
         "credible_intervals": [{"mass": m, "low": low, "high": high} for m, low, high in intervals],
     }
@@ -260,11 +266,9 @@ def _infer_poisson(config: RunConfig, observed: int) -> dict:
         raise UsageError("poisson inference requires --observed")
     if not 0 <= observed < 2**63:
         raise UsageError(f"observed count must lie in [0, 2**63), got {observed!r}")
-    _check_table_rows(config.lambda_points, "lambda_points", ConfigError)
-    grid = inference.default_lambda_grid(observed, config.lambda_points)
-    pov = inference.infer_via_pov(observed, inference.FockCoherentFamily(observed + 1), grid)
-    analytic = inference.analytic_poisson_posterior(observed, grid)
-    return _infer_payload(config, pov, analytic)
+    family = inference.FockCoherentFamily(observed + 1)
+    analytic = functools.partial(inference.analytic_poisson_posterior, observed)
+    return _infer(config, family, observed, "lambda_points", analytic)
 
 
 def _infer_binomial(config: RunConfig, n: int, k: int) -> dict:
@@ -274,11 +278,9 @@ def _infer_binomial(config: RunConfig, n: int, k: int) -> dict:
         raise UsageError(f"need 0 <= k <= n < 2**63, got n={n!r}, k={k!r}")
     if n > _MAX_INFER_BINOMIAL_N:
         raise UsageError(f"n={n!r} is past the limit of {_MAX_INFER_BINOMIAL_N} trials for binomial inference")
-    _check_table_rows(config.p_points, "p_points", ConfigError)
-    grid = inference.default_p_grid(config.p_points)
-    pov = inference.infer_via_pov(k, inference.SpinCoherentFamily(spin.SpinRep(two_j=n)), grid)
-    analytic = inference.analytic_binomial_posterior(n, k, grid)
-    return _infer_payload(config, pov, analytic)
+    family = inference.SpinCoherentFamily(spin.SpinRep(two_j=n))
+    analytic = functools.partial(inference.analytic_binomial_posterior, n, k)
+    return _infer(config, family, k, "p_points", analytic)
 
 
 # ---------------------------------------------------------------------------

@@ -11,15 +11,17 @@ plane measure (1/pi) r dr dangle is (1/2pi) dlambda dangle, and the sphere
 measure is (2j+1) dp dgamma / 2pi, with lambda = r^2 and p = sin^2(theta/2).
 Each family states its posterior once on that canonical parameter: its
 name, its density m_obs(principal(x))^2 times that constant, the window
-that holds its mass and its default grid.  The window of a count n is
-``radial_window(n)`` squared, that of k in n trials ``polar_window(n, k)``
-taken to p; both end where the density is below e^{-144} of its peak at
-every count, so one rule size, ``RADIAL_NODES``, serves every n, for the
-POV masses and the analytic ones alike.  The families read the real
-magnitudes of ``fock`` and ``spin`` and never a phase.  The product rules
-on the plane and the sphere serve the resolution-of-identity check, where
-the angle nodes matter.  Every rule is built on a numpy Gauss-Legendre rule
-(Halley's iteration on the Legendre recurrence).
+that holds its mass and its default grid, the one ``infer`` tabulates on:
+uniform on the Gamma mean n+1 +- 10 sqrt(n+1), clipped at 0, or on [0, 1]
+for p.  The window of a count n is ``radial_window(n)`` squared, that of k
+in n trials ``polar_window(n, k)`` taken to p; both end where the density
+is below e^{-144} of its peak at every count, so one rule size,
+``RADIAL_NODES``, serves every n, for the POV masses and the analytic ones
+alike.  The families read the real magnitudes of ``fock`` and ``spin`` and
+never a phase.  The product rules on the plane and the sphere serve the
+resolution-of-identity check, where the angle nodes matter.  Every rule is
+built on a numpy Gauss-Legendre rule (Halley's iteration on the Legendre
+recurrence).
 """
 
 from __future__ import annotations
@@ -44,8 +46,6 @@ __all__ = [
     "analytic_binomial_posterior",
     "analytic_poisson_posterior",
     "credible_interval",
-    "default_lambda_grid",
-    "default_p_grid",
     "infer_via_pov",
     "inferred_density_binomial",
     "inferred_density_poisson",
@@ -271,8 +271,10 @@ class FockCoherentFamily:
     def density(self, observed: int, lam) -> np.ndarray:
         return self.amplitude_at(observed, np.sqrt(lam)) ** 2
 
-    def default_grid(self, observed: int) -> np.ndarray:
-        return default_lambda_grid(observed)
+    def default_grid(self, observed: int, points: int = 2001) -> np.ndarray:
+        """Uniform rate grid n+1 +- 10 sqrt(n+1), the Gamma(n+1, 1) mean +- 10 deviations, clipped at 0."""
+        half_width = 10.0 * math.sqrt(observed + 1)
+        return np.linspace(max(0.0, observed + 1 - half_width), observed + 1 + half_width, points)
 
 
 @dataclass(frozen=True)
@@ -305,8 +307,9 @@ class SpinCoherentFamily:
     def density(self, observed: int, p) -> np.ndarray:
         return self.dim * self.amplitude_at(observed, 2.0 * np.arcsin(np.sqrt(p))) ** 2
 
-    def default_grid(self, observed: int) -> np.ndarray:
-        return default_p_grid()
+    def default_grid(self, observed: int, points: int = 1001) -> np.ndarray:
+        """Uniform success-probability grid on [0, 1], whatever the count."""
+        return np.linspace(0.0, 1.0, points)
 
 
 CoherentFamily = Union[FockCoherentFamily, SpinCoherentFamily]
@@ -378,15 +381,6 @@ class InferredDistribution:
             raise ResolutionError(f"total mass {self.total_mass!r} deviates from 1 beyond {mass_tol:.1e}")
         object.__setattr__(self, "grid", grid)
         object.__setattr__(self, "density", density)
-
-
-def default_lambda_grid(n: int, points: int = 2001) -> np.ndarray:
-    """Uniform rate grid [0, n+1+10 sqrt(n+1)] resolving the Gamma(n+1,1) shape."""
-    return np.linspace(0.0, n + 1 + 10.0 * math.sqrt(n + 1), points)
-
-
-def default_p_grid(points: int = 1001) -> np.ndarray:
-    return np.linspace(0.0, 1.0, points)
 
 
 def radial_window(n: int) -> tuple[float, float]:

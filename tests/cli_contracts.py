@@ -79,9 +79,15 @@ CONTRACTS = (
     Contract("infer poisson --observed 1000 --format csv", 0, None, "credible intervals render as CSV footer lines"),
     Contract("infer poisson --observed 1000000", 0, None, "the Poisson radial rule follows the count: "
              "a million counts resolve, byte-identically across runs", repeat=True),
+    Contract("infer poisson --observed 30000000", 0, None, "the lambda grid spans the Gamma(3e7 + 1, 1) mean "
+             "+- 10 deviations, so its 2001 points resolve the posterior's width"),
     Contract("infer poisson --observed 30000000", 1, "numerical failure: grid supports only mass ..., cannot cover",
-             "the 2001-point lambda grid steps past the width of Gamma(3e7 + 1, 1): it holds 0.911 of the mass, "
-             "short of the 0.95 level"),
+             "a lambda grid of 2 points holds almost none of the mass: a numerical failure",
+             config='{"lambda_points": 2}'),
+    Contract("infer poisson --observed 1000000000", 0, None, "the lambda grid follows the count: 10**9 counts "
+             "resolve, byte-identically across runs", repeat=True),
+    Contract("infer poisson --observed 10000000000000", 0, None,
+             "10**13 counts resolve on the grid centred on the Gamma mean"),
     Contract("infer poisson --observed 100000000000000", 1, "numerical failure: total mass",
              "an analytic Gamma mass that misses 1 at 10**14 counts is a numerical failure"),
     Contract("infer poisson --observed 3", 2, "config error: lambda_points must be an integer",

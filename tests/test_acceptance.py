@@ -20,7 +20,6 @@ from cohstat.inference import (
     SpinCoherentFamily,
     analytic_binomial_posterior,
     analytic_poisson_posterior,
-    default_lambda_grid,
     infer_via_pov,
     plane_quadrature,
     resolution_of_identity_check,
@@ -136,9 +135,8 @@ def test_criterion_5_resolution_of_identity():
 def test_criterion_6_inferred_posterior_equivalence():
     poisson_sup = poisson_mass_err = 0.0
     for n in (0, 1, 5, 20):
-        grid = default_lambda_grid(n)
-        pov = infer_via_pov(n, FockCoherentFamily(max(64, n + 1)), grid)
-        analytic = analytic_poisson_posterior(n, grid)
+        pov = infer_via_pov(n, FockCoherentFamily(max(64, n + 1)))
+        analytic = analytic_poisson_posterior(n, pov.grid)
         poisson_sup = max(poisson_sup, float(np.abs(pov.density - analytic.density).max()))
         poisson_mass_err = max(poisson_mass_err, abs(pov.total_mass - 1.0))
     ok_poisson = poisson_sup < 1e-8 and poisson_mass_err < 1e-6

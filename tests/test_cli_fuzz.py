@@ -7,8 +7,11 @@ non-finite number.  Draws stay clear of sizes that are legal but slow:
 --trunc 2049`` takes seconds), ``family poisson --lambda`` from 1e5 to the
 2**22-row limit (about 1M rows at 1e6) and ``family binomial --n`` from
 3000 to that limit.  ``infer binomial --n`` is drawn up to its 2**15 limit:
-its rules sit on the count's window, so no size is slow.  Sizes past a
-refusal limit are drawn: they exit 2 before any work.
+its rules sit on the count's window, so no size is slow.  ``infer poisson
+--observed`` is drawn up to 10**13, the counts its grid, centred on the
+Gamma mean, resolves (exit 0); 10**14, whose analytic mass misses 1 (exit
+1), and the int64 edges are drawn apart.  Sizes past a refusal limit are
+drawn: they exit 2 before any work.
 """
 
 import contextlib
@@ -77,7 +80,7 @@ FAMILY_BINOMIAL = st.tuples(
     flag("n", ints(-3, 3000, past_limit=(2**22, 2**22 + 1))),
     flag("p", floats((0.0, 1.0))),
 )
-INFER_POISSON = st.tuples(st.just(("infer", "poisson")), flag("observed", ints(-3, 10**8, past_limit=(10**9, 10**14))))
+INFER_POISSON = st.tuples(st.just(("infer", "poisson")), flag("observed", ints(-3, 10**13, past_limit=(10**14,))))
 INFER_BINOMIAL = st.tuples(
     st.just(("infer", "binomial")),
     flag("n", ints(-3, 2**15, past_limit=(2**15 + 1,))),

@@ -19,8 +19,6 @@ from cohstat.inference import (
     analytic_binomial_posterior,
     analytic_poisson_posterior,
     credible_interval,
-    default_lambda_grid,
-    default_p_grid,
     infer_via_pov,
     inferred_density_binomial,
     inferred_density_poisson,
@@ -242,7 +240,7 @@ class TestSeparableAmplitudes:
     @pytest.mark.parametrize("j", [0.5, 1.0, 2.5, 5.0, 10.0])
     def test_spin_posterior_matches_dense_reference(self, j):
         family = SpinCoherentFamily(build_spin_rep(j))
-        grid = default_p_grid()
+        grid = family.default_grid(0)
         for rule in (sphere_quadrature(j), coarse_angle_rule(j)):
             for observed in range(family.dim):
                 dense, mass = dense_posterior(observed, family, rule, grid)
@@ -254,7 +252,7 @@ class TestSeparableAmplitudes:
     def test_plane_posterior_matches_dense_reference(self):
         family = FockCoherentFamily(20)
         for observed in (0, 3, 11, 19):
-            grid = default_lambda_grid(observed)
+            grid = family.default_grid(observed)
             rule = plane_quadrature(radial_window(observed), 200, 16)
             dense, mass = dense_posterior(observed, family, rule, grid)
             dist = infer_via_pov(observed, family, grid)
@@ -324,7 +322,7 @@ class TestAnalyticDensities:
             inferred_density_poisson(-1, 1.0)
 
     def test_binomial_uniform_posterior(self):
-        p = default_p_grid(11)
+        p = np.linspace(0.0, 1.0, 11)
         assert np.array_equal(inferred_density_binomial(0, 0, p), np.ones(11))
 
     def test_binomial_quadratic_cases(self):
@@ -368,11 +366,23 @@ class TestRadialWindow:
     def test_window_rule_resolves_every_count(self, log_count):
         # the e^{-r^2} r^{2n} peak has the same width at every n, so 200 nodes on the window serve every count
         n = int(math.expm1(log_count))
-        grid = default_lambda_grid(n, 11)
-        pov = infer_via_pov(n, FockCoherentFamily(n + 1), grid)
+        family = FockCoherentFamily(n + 1)
+        grid = family.default_grid(n, 11)
+        pov = infer_via_pov(n, family, grid)
         analytic = analytic_poisson_posterior(n, grid)
         assert abs(pov.total_mass - 1.0) < 1e-12
         assert abs(analytic.total_mass - 1.0) < 1e-12
+
+    @given(log_count=st.floats(0.0, math.log1p(1e13)))
+    @settings(max_examples=60, derandomize=True, deadline=None)
+    def test_default_grid_holds_the_gamma_mass_at_every_count(self, log_count):
+        # the grid spans the mean n+1 +- 10 deviations, so its 2001 points keep pace with the width sqrt(n+1);
+        # at n = 0 its top, 11, leaves e^{-11} of the mass above it
+        n = int(math.expm1(log_count))
+        grid = FockCoherentFamily(n + 1).default_grid(n)
+        credible_interval(analytic_poisson_posterior(n, grid), 0.9999)
+        if n <= 99:  # the clip at 0 leaves the grid as it was before it was centred
+            assert np.array_equal(grid, np.linspace(0.0, n + 1 + 10.0 * math.sqrt(n + 1), 2001))
 
 
 class TestPolarWindow:
