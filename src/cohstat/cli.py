@@ -10,11 +10,15 @@ equal-length list; the JSON document is exactly ``json.dumps(..., indent=2)``
 of the payload with ``rows`` in record form, one object per row.
 Config values of the wrong type, out of range or not finite are a
 configuration error naming the key; ``infer`` reads no ``--trunc``.
-Exit codes: 0 success or all checks passing, 1 verification failure or
-numerical failure (a quadrature rule, mass or parameter grid that does not
-resolve the distribution, a truncation too small for the displacement, a
-state or distribution that overflowed to non-finite values), 2 usage or
-configuration error, an output that cannot be written among them.
+A size past one of the limits of ``_LIMITS`` (table rows, binomial trials,
+verify levels, the observed count) is refused before any work, by one line
+that names the limit.  Exit codes: 0 success or all checks passing, 1
+verification failure or numerical failure (a quadrature rule, mass or
+parameter grid that does not resolve the distribution, a truncation too
+small for the displacement, a state or distribution that overflowed to
+non-finite values), 2 usage or configuration error, an output that cannot
+be written and a size past a limit among them.  A run that fails writes no
+``--out`` file.
 """
 
 from __future__ import annotations
@@ -48,12 +52,22 @@ _ROW_CUMULATIVE_STOP = 1e-12
 
 VERIFY_CHECKS = ("ladder", "bch", "gauss", "identity", "translation", "example12")
 
-# Rows a table may have: `family` outcomes, or `infer` grid points (`lambda_points`, `p_points`).
-# A `family` row costs about 470 bytes on its way to the output (pmf and amplitude arrays, column
-# lists, rendered text), so 2**22 rows is about 2 GB; `family poisson --lambda 1e6` builds
-# 1,012,001 rows in about 505 MB.  An `infer` row costs about 780 bytes (`infer poisson --observed
-# 50` on 262,144 grid points peaks at 238 MB), so 2**22 grid points is about 3.3 GB.
-_MAX_FAMILY_ROWS = 2**22
+# Every size the CLI refuses before any work, by `_refuse_past`: its value, what it bounds (the
+# words after the value in the refusal) and the measured basis of the value.
+_LIMITS = {
+    "rows": {"value": 2**22, "bounds": "rows", "basis": "`family` rows and `infer` grid points (`lambda_points`, "
+             "`p_points`). A `family` row costs about 470 bytes on its way to the output, an `infer` row 780, so "
+             "the limit is 2-3.3 GB: `family poisson --lambda 1e6` builds 1,012,001 rows in about 505 MB."},
+    "trials": {"value": 2**15, "bounds": "trials for binomial inference", "basis": "`infer binomial --n`. Central "
+               "k overflow sqrt C(n, k) from about n = 2050, k = 0 and k = n underflow from n = 16446, k = n // 100 "
+               "exits 0 up to n = 17851, and past the limit every sampled (n, k) up to 10**6 exits 1."},
+    "verify trunc": {"value": 4096, "bounds": "levels for verify", "basis": "`verify --trunc`. Dense trunc x trunc "
+                     "matrices: at the limit `bch` peaks near 1.8 GB, `translation` near 820 MB and `ladder` near "
+                     "280 MB (one BLAS thread), growing as trunc**2."},
+    "observed count": {"value": 2**63 - 1, "bounds": "counts for Poisson inference", "basis": "`infer poisson "
+                       "--observed`, the largest int64: past 2**64 `fock`'s log factorial cannot square the count. "
+                       "Counts from 10**14 exit 1, their analytic Gamma mass missing 1."},
+}
 
 
 class ConfigError(Exception):
@@ -125,9 +139,9 @@ def load_config(args: argparse.Namespace) -> RunConfig:
         settings["mass_levels"] = tuple(levels)
     try:
         config = RunConfig(**settings)
-    except TypeError as exc:
+        _validate_config(config)
+    except (TypeError, UsageError) as exc:  # a setting past a limit is a configuration error too
         raise ConfigError(str(exc)) from exc
-    _validate_config(config)
     return config
 
 
@@ -152,8 +166,10 @@ def _validate_config(config: RunConfig) -> None:
     if config.trunc is not None and config.trunc < 2:
         raise ConfigError(f"trunc must be at least 2, got {config.trunc!r}")
     for name in ("lambda_points", "p_points"):
-        if getattr(config, name) < 2:
-            raise ConfigError(f"{name} must be at least 2, got {getattr(config, name)!r}")
+        points = getattr(config, name)
+        if points < 2:
+            raise ConfigError(f"{name} must be at least 2, got {points!r}")
+        _refuse_past("rows", points, f"{name} needs a table of {points} rows,")
     for level in config.mass_levels:
         if not 0.0 < level < 1.0:
             raise ConfigError(f"mass levels must lie strictly between 0 and 1, got {level!r}")
@@ -161,6 +177,13 @@ def _validate_config(config: RunConfig) -> None:
         raise ConfigError(f"format must be 'json' or 'csv', got {config.format!r}")
     if config.seed < 0:
         raise ConfigError(f"seed must be nonnegative, got {config.seed!r}")
+
+
+def _refuse_past(limit: str, size: int, refusal: str) -> None:
+    """Refuse a ``size`` past ``_LIMITS[limit]`` before any work: a usage error, ``refusal`` naming the limit."""
+    value, bounds = _LIMITS[limit]["value"], _LIMITS[limit]["bounds"]
+    if size > value:
+        raise UsageError(f"{refusal} past the limit of {value} {bounds}")
 
 
 def _payload(command: str, config: RunConfig, rows: dict[str, list], footer: dict) -> dict:
@@ -176,22 +199,18 @@ def _payload(command: str, config: RunConfig, rows: dict[str, list], footer: dic
 # ---------------------------------------------------------------------------
 # family
 
-def _check_table_rows(rows: int, what: str, error: type[Exception] = UsageError) -> None:
-    """Refuse a table of more than _MAX_FAMILY_ROWS rows, before any array is built."""
-    if rows > _MAX_FAMILY_ROWS:
-        raise error(f"{what} needs a table of {rows} rows, past the limit of {_MAX_FAMILY_ROWS} rows")
-
-
 def _family_poisson(config: RunConfig, lam: float) -> dict:
     if lam is None:
         raise UsageError("poisson family requires --lambda")
     if lam < 0 or not math.isfinite(lam):
         raise UsageError(f"lambda must be a finite nonnegative rate, got {lam!r}")
     alpha = math.sqrt(lam)
-    trunc = config.trunc if config.trunc is not None else fock.default_truncation(alpha)
-    if trunc >= 2**63:  # levels index numpy int64 arrays
-        raise UsageError(f"truncation {trunc} for lambda={lam!r} is past the int64 limit 2**63 - 1")
-    _check_table_rows(trunc, f"truncation {trunc} for lambda={lam!r}")
+    if config.trunc is None:  # a derived truncation can run to 309 digits, so its refusal names the rate
+        trunc, refusal = fock.default_truncation(alpha), f"lambda={lam!r} needs a table"
+    else:
+        trunc = config.trunc
+        refusal = f"truncation {trunc} for lambda={lam!r} needs a table of {trunc} rows,"
+    _refuse_past("rows", trunc, refusal)
     state = fock.coherent_closed_form(alpha, fock.FockSpace(trunc), tail_tol=config.tail_tol)
     # rows stop at the first outcome whose cumulative pmf reaches 1 - _ROW_CUMULATIVE_STOP;
     # the rate is alpha**2, the one fock.poisson_pmf(alpha, n) sees, not lam itself
@@ -212,11 +231,11 @@ def _family_poisson(config: RunConfig, lam: float) -> dict:
 def _family_binomial(config: RunConfig, n: int, p: float) -> dict:
     if n is None or p is None:
         raise UsageError("binomial family requires --n and --p")
-    if not 0 <= n < 2**63 - 1:  # the n + 1 outcomes index numpy int64 arrays
-        raise UsageError(f"n must lie in [0, 2**63 - 1): its n + 1 outcomes must stay within the int64 limit, got {n!r}")
+    if n < 0:
+        raise UsageError(f"n must be nonnegative, got {n!r}")
     if not 0.0 <= p < 1.0:
         raise UsageError(f"p must lie in [0, 1), got {p!r}")
-    _check_table_rows(n + 1, f"n={n!r}")
+    _refuse_past("rows", n + 1, f"n={n!r} needs a table of {n + 1} rows,")
     point = spin.sphere_point_for_probability(p)
     state = spin.spin_coherent_closed_form(spin.SpinRep(two_j=n), point)
     coherent_probs = np.abs(state.vector) ** 2
@@ -230,18 +249,9 @@ def _family_binomial(config: RunConfig, n: int, p: float) -> dict:
 # ---------------------------------------------------------------------------
 # infer
 
-# Trials `infer binomial` accepts.  Below it k = n // 100 exits 0 at n as large as 17851; central k
-# overflow sqrt C(n, k) from about n = 2050; k = 0 and k = n exit 1 from n = 16446, where 2**-n is
-# below the least extended-precision subnormal (quadrature mass 0.0).  Past it every sampled (n, k)
-# up to 10**6 exits 1: edge magnitudes underflow (quadrature mass 0.0) and central ones overflow.
-_MAX_INFER_BINOMIAL_N = 2**15
-
-
 def _infer(config: RunConfig, family, observed: int, points_key: str, analytic) -> dict:
     """Tabulate the POV posterior of ``observed`` and ``analytic(grid)`` on the family's default grid."""
-    points = getattr(config, points_key)
-    _check_table_rows(points, points_key, ConfigError)
-    grid = family.default_grid(observed, points)
+    grid = family.default_grid(observed, getattr(config, points_key))
     pov = inference.infer_via_pov(observed, family, grid)
     reference = analytic(grid)
     absdiff = np.abs(pov.density - reference.density)
@@ -264,8 +274,9 @@ def _infer(config: RunConfig, family, observed: int, points_key: str, analytic) 
 def _infer_poisson(config: RunConfig, observed: int) -> dict:
     if observed is None:
         raise UsageError("poisson inference requires --observed")
-    if not 0 <= observed < 2**63:
-        raise UsageError(f"observed count must lie in [0, 2**63), got {observed!r}")
+    if observed < 0:
+        raise UsageError(f"observed count must be nonnegative, got {observed!r}")
+    _refuse_past("observed count", observed, f"observed count {observed} is")
     family = inference.FockCoherentFamily(observed + 1)
     analytic = functools.partial(inference.analytic_poisson_posterior, observed)
     return _infer(config, family, observed, "lambda_points", analytic)
@@ -274,10 +285,9 @@ def _infer_poisson(config: RunConfig, observed: int) -> dict:
 def _infer_binomial(config: RunConfig, n: int, k: int) -> dict:
     if n is None or k is None:
         raise UsageError("binomial inference requires --n and --k")
-    if not 0 <= k <= n < 2**63:
-        raise UsageError(f"need 0 <= k <= n < 2**63, got n={n!r}, k={k!r}")
-    if n > _MAX_INFER_BINOMIAL_N:
-        raise UsageError(f"n={n!r} is past the limit of {_MAX_INFER_BINOMIAL_N} trials for binomial inference")
+    if not 0 <= k <= n:
+        raise UsageError(f"need 0 <= k <= n, got n={n!r}, k={k!r}")
+    _refuse_past("trials", n, f"n={n!r} is")
     family = inference.SpinCoherentFamily(spin.SpinRep(two_j=n))
     analytic = functools.partial(inference.analytic_binomial_posterior, n, k)
     return _infer(config, family, k, "p_points", analytic)
@@ -285,14 +295,6 @@ def _infer_binomial(config: RunConfig, n: int, k: int) -> dict:
 
 # ---------------------------------------------------------------------------
 # verify
-
-# Levels `verify --trunc` accepts.  The ladder, bch and translation checks
-# hold dense trunc x trunc matrices: at 4096 levels `verify --check bch`
-# peaks near 1.8 GB, `translation` near 820 MB and `ladder` near 280 MB
-# (one BLAS thread), and memory grows as trunc^2, so 10**5 levels would ask
-# for terabytes.
-_MAX_VERIFY_TRUNC = 4096
-
 
 def _fmt_complex(z: complex) -> str:
     return f"{z.real:g}{z.imag:+g}j"
@@ -441,8 +443,8 @@ def _check_identity(config: RunConfig) -> list[dict]:
 
 
 def _cmd_verify(config: RunConfig, check: str, alpha: complex) -> tuple[dict, int]:
-    if config.trunc is not None and config.trunc > _MAX_VERIFY_TRUNC:
-        raise UsageError(f"trunc {config.trunc} is past the limit of {_MAX_VERIFY_TRUNC} levels for verify")
+    if config.trunc is not None:
+        _refuse_past("verify trunc", config.trunc, f"trunc {config.trunc} is")
     if not cmath.isfinite(alpha):
         raise UsageError(f"--alpha must be finite, got {alpha}")
     runners = {

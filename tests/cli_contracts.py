@@ -1,7 +1,9 @@
 """Every pinned `cohstat` contract: exit code, stderr line and byte-identical repeated runs.
 
 ``check`` makes every assertion of one ``CONTRACTS`` row through a ``run(argv)
--> (code, stdout, stderr)`` callable.  ``tests/test_cli_contracts.py`` runs the
+-> (code, stdout, stderr)`` callable.  A row with a stderr line and no ``--out``
+of its own runs once more with ``--out`` in a temporary directory: it must
+exit and report as before and leave no file there.  ``tests/test_cli_contracts.py`` runs the
 rows in process through ``cohstat.cli.main``; ``python tests/cli_contracts.py``
 runs them through the ``cohstat`` console script next to the interpreter, so a
 plain ``pip install .`` checks them too.  It exits 1 naming each broken row with
@@ -45,7 +47,7 @@ CONTRACTS = (
              "generator a rectangular even/odd block; its runs are byte-identical", repeat=True),
     Contract("verify --check bch --alpha=4.4 --trunc 64", 1, None, "the BCH check still probes truncation with exact "
              "ladder factors: alpha 4.4 is too large for 64 levels, a fail row on stdout"),
-    Contract("verify --check bch --trunc 1000000", 2, "error: trunc 1000000 is past the limit of 4096 levels",
+    Contract("verify --check bch --trunc 1000000", 2, "error: trunc 1000000 is past the limit of 4096 levels for verify",
              "verify --trunc past 4096 levels is refused before any matrix is built (usage error)"),
     Contract("verify --check ladder --trunc 512", 0, None,
              "the ladder check at the largest size the benchmark samples is byte-identical across runs", repeat=True),
@@ -73,8 +75,16 @@ CONTRACTS = (
     Contract("infer binomial --n 16446 --k 0", 1, "numerical failure: quadrature mass 0.0 ...every magnitude on the "
              "window underflowed", "b(0; 16446, 1/2) = 2**-16446 is below the least extended-precision subnormal "
              "before np.ldexp scales it back, so every magnitude on the window is 0"),
-    Contract("infer binomial --n 1000000000000 --k 5", 2, "error: n=1000000000000 is past the limit of 32768 trials",
-             "infer binomial past 2**15 trials is refused before any posterior is computed (usage error)"),
+    Contract("infer binomial --n 1000000000000 --k 5", 2, "error: n=1000000000000 is past the limit of 32768 trials "
+             "for binomial inference", "infer binomial past 2**15 trials is refused before any posterior is computed "
+             "(usage error)"),
+    Contract("infer binomial --n 32768 --k 5", 1, "numerical failure: quadrature mass 0.0 ...every magnitude on "
+             "the window underflowed", "2**15 trials are admitted, not refused; at k = 5 every magnitude "
+             "underflows, a numerical failure"),
+    Contract("infer poisson --observed 0", 0, None, "the rate grid reaches 20, past the mean + 10 deviations, "
+             "so it holds a credible mass of 0.99999 of Gamma(1, 1)", config='{"mass_levels": [0.99999]}'),
+    Contract("infer poisson --observed 1", 0, None, "the rate grid of Gamma(2, 1) ends at 20: its trapezoid "
+             "steps lose 8.4e-6 of the mass, so it still holds 0.99999", config='{"mass_levels": [0.99999]}'),
     Contract("infer poisson --observed 1000", 0, None, "a Poisson posterior resolves on its radial window"),
     Contract("infer poisson --observed 1000 --format csv", 0, None, "credible intervals render as CSV footer lines"),
     Contract("infer poisson --observed 1000000", 0, None, "the Poisson radial rule follows the count: "
@@ -90,6 +100,11 @@ CONTRACTS = (
              "10**13 counts resolve on the grid centred on the Gamma mean"),
     Contract("infer poisson --observed 100000000000000", 1, "numerical failure: total mass",
              "an analytic Gamma mass that misses 1 at 10**14 counts is a numerical failure"),
+    Contract("infer poisson --observed 9223372036854775807", 1, "numerical failure: total mass",
+             "a count of 2**63 - 1 is admitted, and its analytic Gamma mass misses 1"),
+    Contract("infer poisson --observed 9223372036854775808", 2, "error: observed count 9223372036854775808 is past "
+             "the limit of 9223372036854775807 counts for Poisson inference",
+             "a count past 2**63 - 1 is refused before any posterior is computed (usage error)"),
     Contract("infer poisson --observed 3", 2, "config error: lambda_points must be an integer",
              "a config value of the wrong type is a configuration error, never a traceback",
              config='{"lambda_points": "abc"}'),
@@ -101,14 +116,19 @@ CONTRACTS = (
              "a Fock truncation too small for the displacement is a numerical failure"),
     Contract("family binomial --n 10000000 --p 0.5", 2, "error: ...past the limit of 4194304 rows",
              "a family table past the 2**22-row limit is refused before it is built (usage error)"),
+    Contract("family binomial --n 1000000000000 --p 0.5", 2, "error: n=1000000000000 needs a table of "
+             "1000000000001 rows, past the limit of 4194304 rows", "a family table of 7.3 TiB is refused before "
+             "it is built (usage error)"),
     Contract("family binomial --n 9223372036854775806 --p 0.5", 2, "error: ...past the limit of 4194304 rows",
              "2**63 - 1 outcomes fit int64, but np.arange of that many is empty: refused before it is built"),
     Contract("family poisson --lambda 1 --trunc 9223372036854775807", 2, "error: ...past the limit of 4194304 rows",
              "a truncation of 2**63 - 1 levels fits int64 but is refused before any array is built"),
-    Contract("family binomial --n 9223372036854775807 --p 0.5", 2, "error: n must lie in [0, 2**63 - 1): its n + 1 "
-             "outcomes must stay within the int64 limit", "2**63 outcomes cannot index int64 arrays (usage error)"),
-    Contract("family poisson --lambda 1e308", 2, "error: truncation ... is past the int64 limit 2**63 - 1",
-             "a truncation of about 1e308 levels cannot index int64 arrays (usage error)"),
+    Contract("family binomial --n 9223372036854775807 --p 0.5", 2, "error: n=9223372036854775807 needs a table of "
+             "9223372036854775808 rows, past the limit of 4194304 rows", "2**63 outcomes, which int64 cannot index, "
+             "are past the row limit too: refused before any array is built (usage error)"),
+    Contract("family poisson --lambda 1e308", 2, "error: lambda=1e+308 needs a table past the limit of 4194304 rows",
+             "the default truncation of about 1e308 levels is past the row limit; the refusal names the rate given, "
+             "not the 309 digits of that truncation (usage error)"),
     Contract("family binomial --n 2100 --p 0.3", 1, "numerical failure: state has non-finite entries",
              "sqrt C(2100, 1050) overflows a double, so the closed-form state is not finite"),
 )
@@ -124,7 +144,15 @@ def check(row: Contract, run: Callable[[list[str]], tuple[int, str, str]]) -> No
             argv += ["--config", str(config)]
         code, stdout, stderr = run(argv)
         again = run(argv)[1] if row.repeat else stdout
+        out = Path(tmp, "out")
+        # a failed run writes no --out file, and exits and reports as it does without one
+        with_out = run([*argv, "--out", str(out)]) if row.stderr is not None and "--out" not in argv else None
+        wrote = out.exists()
     faults = [f"exit {code}, expected {row.code}"] if code != row.code else []
+    if with_out is not None and (with_out[0], with_out[2]) != (code, stderr):
+        faults.append(f"with --out: exit {with_out[0]} and stderr {with_out[2]!r}, unlike the run without it")
+    if wrote:
+        faults.append("a run with --out wrote the file")
     if row.stderr is None and stderr:
         faults.append(f"stderr {stderr!r}, expected none")
     if row.stderr is not None:

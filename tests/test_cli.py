@@ -177,31 +177,6 @@ class TestFamilyCommand:
         assert main(["family", "poisson"]) == 2
         assert "error" in capsys.readouterr().err
 
-    # tables int64 can index but numpy cannot build (np.arange of 2**63 - 1 is empty), and one
-    # of 7.3 TiB, are refused before any array is built or any --out file is written
-    @pytest.mark.parametrize(
-        "argv",
-        [
-            ["binomial", "--n", str(2**63 - 2), "--p", "0.5"],
-            ["poisson", "--lambda", "1", "--trunc", str(2**63 - 1)],
-            ["binomial", "--n", str(10**12), "--p", "0.5"],
-        ],
-    )
-    def test_tables_past_the_row_limit_are_usage_errors(self, tmp_path, capsys, argv):
-        out = tmp_path / "out.json"
-        assert main(["family", *argv, "--out", str(out)]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error:") and "limit of 4194304 rows" in err
-        assert err.count("\n") == 1
-        assert not out.exists()
-
-    def test_row_limit_admits_tables_up_to_it(self, monkeypatch):
-        monkeypatch.setattr(cli, "_MAX_FAMILY_ROWS", 3)
-        assert main(["family", "binomial", "--n", "2", "--p", "0.5", "--out", os.devnull]) == 0
-        assert main(["family", "binomial", "--n", "3", "--p", "0.5", "--out", os.devnull]) == 2
-        assert main(["family", "poisson", "--lambda", "1e-4", "--trunc", "3", "--out", os.devnull]) == 0
-        assert main(["family", "poisson", "--lambda", "1e-4", "--trunc", "4", "--out", os.devnull]) == 2
-
     def test_million_row_poisson_table_is_built(self):
         # 1,012,001 rows in about 505 MB, a quarter of the row limit
         assert main(["family", "poisson", "--lambda", "1e6", "--out", os.devnull]) == 0
@@ -268,31 +243,14 @@ class TestInferCommand:
         assert main(["infer", "poisson", "--observed", "-1"]) == 2
         assert main(["infer", "binomial", "--n", "2", "--k", "3"]) == 2
         capsys.readouterr()
-        for argv in (["poisson", "--observed", str(10**22)], ["poisson", "--observed", str(10**400)],
-                     ["binomial", "--n", str(10**400), "--k", "1"]):
+        for argv, limit in (
+            (["poisson", "--observed", str(10**22)], "9223372036854775807 counts"),
+            (["poisson", "--observed", str(10**400)], "9223372036854775807 counts"),
+            (["binomial", "--n", str(10**400), "--k", "1"], "32768 trials"),
+        ):
             assert main(["infer", *argv]) == 2
             err = capsys.readouterr().err
-            assert err.startswith("error:") and "2**63" in err and err.count("\n") == 1
-
-    # tests/cli_contracts.py pins these failures on stdout; here they must leave no --out file
-    @pytest.mark.parametrize("n, k", [(3000, 700)])
-    def test_overflowed_amplitudes_are_a_numerical_failure(self, tmp_path, capsys, n, k):
-        out = tmp_path / "out.json"
-        assert main(["infer", "binomial", "--n", str(n), "--k", str(k), "--out", str(out)]) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("numerical failure:") and "non-finite" in err
-        assert err.count("\n") == 1
-        assert not out.exists()
-
-    @pytest.mark.parametrize("n", [8000])
-    def test_unresolved_credible_interval_exits_1(self, tmp_path, capsys, n):
-        # the default p grid does not resolve Beta(6, n - 4), which is a numerical failure, not a usage error
-        out = tmp_path / "out.json"
-        assert main(["infer", "binomial", "--n", str(n), "--k", "5", "--out", str(out)]) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("numerical failure: grid supports only mass") and "cannot cover" in err
-        assert err.count("\n") == 1
-        assert not out.exists()
+            assert err.startswith("error:") and f"past the limit of {limit}" in err and err.count("\n") == 1
 
     def test_unresolved_quadrature_exits_1(self, monkeypatch, capsys):
         monkeypatch.setattr(inference, "RADIAL_NODES", 4)
@@ -335,11 +293,6 @@ class TestInferCommand:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "limit of 32768 trials" in err
         assert err.count("\n") == 1
-
-    def test_trial_limit_admits_n_up_to_it(self, monkeypatch):
-        monkeypatch.setattr(cli, "_MAX_INFER_BINOMIAL_N", 20)
-        assert main(["infer", "binomial", "--n", "20", "--k", "7", "--out", os.devnull]) == 0
-        assert main(["infer", "binomial", "--n", "21", "--k", "7", "--out", os.devnull]) == 2
 
     @pytest.mark.parametrize("n", [500, 1000, 2000])
     @pytest.mark.parametrize("position", ["first", "middle", "last"])
@@ -490,11 +443,6 @@ class TestVerifyCommand:
         assert err.startswith("error:") and "limit of 4096 levels" in err
         assert err.count("\n") == 1
 
-    def test_trunc_limit_admits_trunc_up_to_it(self, monkeypatch):
-        monkeypatch.setattr(cli, "_MAX_VERIFY_TRUNC", 16)
-        assert main(["verify", "--check", "ladder", "--trunc", "16", "--out", os.devnull]) == 0
-        assert main(["verify", "--check", "ladder", "--trunc", "17", "--out", os.devnull]) == 2
-
     @pytest.mark.parametrize("alpha", ["nan", "inf", "-inf", "nan+1j", "1+infj"])
     def test_non_finite_alpha_is_a_usage_error(self, monkeypatch, capsys, alpha):
         def refuse(alpha, rep):
@@ -583,6 +531,41 @@ class TestVerifyCommand:
         assert code == 1
         relations = payload["rows"][0]
         assert relations["params"] == "relations trunc=16" and relations["status"] == "fail"
+
+
+# per limit of cli._LIMITS: a small value set in its place, so that runs at it are cheap and exit 0, and the
+# argvs of a run at a size; the rows limit also bounds the 2001 default lambda_points of every command
+LIMIT_RUNS = {
+    "rows": (2001, [lambda size: ["family", "binomial", "--n", str(size - 1), "--p", "0.5"],
+                 lambda size: ["family", "poisson", "--lambda", "1e-4", "--trunc", str(size)]]),
+    "trials": (20, [lambda size: ["infer", "binomial", "--n", str(size), "--k", "7"]]),
+    "verify trunc": (16, [lambda size: ["verify", "--check", "ladder", "--trunc", str(size)]]),
+    "observed count": (3, [lambda size: ["infer", "poisson", "--observed", str(size)]]),
+}
+# the functions that do the work of those runs: a run past a limit reaches none of them
+WORK = [(fock, "coherent_closed_form"), (spin, "spin_coherent_closed_form"), (inference, "infer_via_pov"),
+        (fock, "build_ladder")]
+
+
+class TestLimits:
+    @pytest.mark.parametrize("name", cli._LIMITS)
+    def test_limit_admits_sizes_up_to_it(self, monkeypatch, capsys, name):
+        value, argvs = LIMIT_RUNS[name]
+        monkeypatch.setitem(cli._LIMITS[name], "value", value)
+        for argv in argvs:
+            assert main([*argv(value), "--out", os.devnull]) == 0, argv(value)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError(f"a run past the {name} limit did its work")
+
+        for module, work in WORK:
+            monkeypatch.setattr(module, work, refuse)
+        capsys.readouterr()
+        for argv in argvs:
+            assert main([*argv(value + 1), "--out", os.devnull]) == 2, argv(value + 1)
+            err = capsys.readouterr().err
+            assert err.startswith("error:") and err.count("\n") == 1
+            assert err.endswith(" past the limit of {value} {bounds}\n".format_map(cli._LIMITS[name]))
 
 
 class TestOutputFormats:

@@ -23,7 +23,7 @@ import re
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cohstat.cli import VERIFY_CHECKS, main
+from cohstat.cli import _LIMITS, VERIFY_CHECKS, main
 
 INT64_EDGES = (2**63 - 1, 2**63, 2**64, -(2**63), -(2**63) - 1, 2**31, 10**400)
 FLOAT_EDGES = (
@@ -61,9 +61,11 @@ def optional(name: str, values):
     return mostly(st.just(()), flag(name, values))
 
 
-# verify refuses trunc above 4096 and family tables past 2**22 rows
+# the sizes just past a limit of cli._LIMITS
+PAST_ROWS, PAST_TRIALS, PAST_LEVELS = (_LIMITS[name]["value"] + 1 for name in ("rows", "trials", "verify trunc"))
+
 COMMON = st.tuples(
-    optional("trunc", ints(-3, 512, past_limit=(4097, 2**22 + 1, 10**30))),
+    optional("trunc", ints(-3, 512, past_limit=(PAST_LEVELS, PAST_ROWS, 10**30))),
     optional("tol", floats((1e-300, 1.0))),
     optional("seed", ints(-3, 10**6)),
 )
@@ -77,14 +79,14 @@ VERIFY = st.tuples(
 FAMILY_POISSON = st.tuples(st.just(("family", "poisson")), flag("lambda", floats((0.0, 1e4), (5e6, 1e300))))
 FAMILY_BINOMIAL = st.tuples(
     st.just(("family", "binomial")),
-    flag("n", ints(-3, 3000, past_limit=(2**22, 2**22 + 1))),
+    flag("n", ints(-3, 3000, past_limit=(PAST_ROWS - 1, PAST_ROWS))),
     flag("p", floats((0.0, 1.0))),
 )
 INFER_POISSON = st.tuples(st.just(("infer", "poisson")), flag("observed", ints(-3, 10**13, past_limit=(10**14,))))
 INFER_BINOMIAL = st.tuples(
     st.just(("infer", "binomial")),
-    flag("n", ints(-3, 2**15, past_limit=(2**15 + 1,))),
-    flag("k", ints(-3, 2**15)),
+    flag("n", ints(-3, PAST_TRIALS - 1, past_limit=(PAST_TRIALS,))),
+    flag("k", ints(-3, PAST_TRIALS - 1)),
 )
 ARGV = st.tuples(st.one_of(VERIFY, FAMILY_POISSON, FAMILY_BINOMIAL, INFER_POISSON, INFER_BINOMIAL), COMMON).map(
     lambda parts: [item for group in (*parts[0], *parts[1]) for item in group]

@@ -50,8 +50,13 @@ def dense_amplitudes(family, principal, angle):
 
 
 def dense_transform(state, family, rule):
-    """<phi, v(param)> at every node of ``rule``, flattened in the order of ``rule.nodes``."""
-    return dense_amplitudes(family, rule.principal_nodes, rule.angle_nodes).reshape(-1, family.dim) @ state.vector.conj()
+    """<phi, v(param)> at every node of ``rule``, shape (n_principal, n_angle)."""
+    return dense_amplitudes(family, rule.principal_nodes, rule.angle_nodes) @ state.vector.conj()
+
+
+def rule_sum(rule, values):
+    """sum_{i,k} pw_i aw_k values_ik: the integral of values on the rule's product nodes."""
+    return rule.principal_weights @ values @ rule.angle_weights
 
 
 @dataclasses.dataclass(frozen=True)
@@ -71,12 +76,12 @@ def with_angle_nodes(rule, n_gamma):
 class TestPlaneQuadrature:
     def test_constant_integrates_to_squared_radius(self):
         rule = plane_quadrature((0.0, 2.0), 40, 8)
-        assert rule.weights.sum() == pytest.approx(4.0, rel=1e-13)
+        assert rule.principal_weights.sum() * rule.angle_weights.sum() == pytest.approx(4.0, rel=1e-13)
 
     def test_gaussian_normalization(self):
         rule = plane_quadrature((0.0, 12.0), 200, 16)
-        r = rule.nodes[:, 0]
-        assert np.sum(rule.weights * np.exp(-r * r)) == pytest.approx(1.0, abs=1e-13)
+        r = rule.principal_nodes
+        assert rule.principal_weights @ np.exp(-r * r) * rule.angle_weights.sum() == pytest.approx(1.0, abs=1e-13)
 
     def test_gaussian_moments(self):
         rule = plane_quadrature((0.0, 12.0), 200, 8)
@@ -94,13 +99,13 @@ class TestSphereQuadrature:
     @pytest.mark.parametrize("j", [0.0, 0.5, 1.0, 5.0])
     def test_total_measure_is_dimension(self, j):
         rule = sphere_quadrature(j)
-        assert rule.weights.sum() == pytest.approx(2.0 * j + 1.0, rel=1e-13)
+        assert rule.principal_weights.sum() * rule.angle_weights.sum() == pytest.approx(2.0 * j + 1.0, rel=1e-13)
 
     def test_success_probability_average(self):
         # int sin^2(theta/2) dmu = (2j+1)/2 = 1 at j = 1/2
         rule = sphere_quadrature(0.5)
-        p = np.sin(rule.nodes[:, 0] / 2.0) ** 2
-        assert np.sum(rule.weights * p) == pytest.approx(1.0, abs=1e-13)
+        p = np.sin(rule.principal_nodes / 2.0) ** 2
+        assert rule.principal_weights @ p * rule.angle_weights.sum() == pytest.approx(1.0, abs=1e-13)
 
     @pytest.mark.parametrize("j", [0.5, 1.0, 2.5, 5.0, 10.0])
     def test_2j_plus_1_angle_nodes_resolve_identity(self, j):
@@ -144,7 +149,7 @@ class TestCoherentTransform:
         family = FockCoherentFamily(16)
         rule = plane_quadrature((0.0, 8.0), 60, 12)
         values = dense_transform(basis_state(16, 0), family, rule)
-        lam = rule.nodes[:, 0] ** 2
+        lam = rule.principal_nodes[:, None] ** 2
         assert np.abs(np.abs(values) ** 2 - np.exp(-lam)).max() < 1e-15
 
     def test_isometry_on_basis_states(self):
@@ -152,14 +157,14 @@ class TestCoherentTransform:
         rule = plane_quadrature((0.0, 10.0), 200, 65)
         for n in (0, 3, 11, 19):
             values = dense_transform(basis_state(32, n), family, rule)
-            assert np.sum(rule.weights * np.abs(values) ** 2) == pytest.approx(1.0, abs=1e-8)
+            assert rule_sum(rule, np.abs(values) ** 2) == pytest.approx(1.0, abs=1e-8)
 
     def test_orthogonality_preserved(self):
         family = FockCoherentFamily(32)
         rule = plane_quadrature((0.0, 10.0), 200, 65)
         first = dense_transform(basis_state(32, 2), family, rule)
         second = dense_transform(basis_state(32, 7), family, rule)
-        assert abs(np.sum(rule.weights * first.conj() * second)) < 1e-8
+        assert abs(rule_sum(rule, first.conj() * second)) < 1e-8
 
 
 class TestInferViaPov:
@@ -198,10 +203,10 @@ class TestInferViaPov:
         rule = plane_quadrature((0.0, 8.0), 50, 9)
         state = VectorState(random_unit_vector(rng, 12))
         values = np.abs(dense_transform(state, family, rule)) ** 2
-        r = rule.nodes[:, 0]
+        r = rule.principal_nodes
         low, high = sorted(rng.uniform(0.0, 8.0, size=2))
         box = (r >= low) & (r <= high)
-        assert np.sum(rule.weights[box] * values[box]) >= 0.0
+        assert rule.principal_weights[box] @ values[box] @ rule.angle_weights >= 0.0
 
     def test_rejects_bad_observed_index(self):
         with pytest.raises(ValueError, match="observed index"):
@@ -225,8 +230,8 @@ def dense_posterior(observed, family, rule, grid):
 
 
 def dense_identity_residual(family, rule, n_basis):
-    flat = dense_amplitudes(family, rule.principal_nodes, rule.angle_nodes)[:, :, :n_basis].reshape(-1, n_basis)
-    gram = (flat * rule.weights[:, None]).T @ flat.conj()
+    amplitudes = dense_amplitudes(family, rule.principal_nodes, rule.angle_nodes)[:, :, :n_basis]
+    gram = np.einsum("i,k,ikm,ikl->ml", rule.principal_weights, rule.angle_weights, amplitudes, amplitudes.conj())
     return float(np.abs(gram - np.eye(n_basis)).max())
 
 
@@ -377,12 +382,12 @@ class TestRadialWindow:
     @settings(max_examples=60, derandomize=True, deadline=None)
     def test_default_grid_holds_the_gamma_mass_at_every_count(self, log_count):
         # the grid spans the mean n+1 +- 10 deviations, so its 2001 points keep pace with the width sqrt(n+1);
-        # at n = 0 its top, 11, leaves e^{-11} of the mass above it
+        # at n = 0 and 1 its top is 20, which leaves e^{-20} of Gamma(1, 1) above it
         n = int(math.expm1(log_count))
         grid = FockCoherentFamily(n + 1).default_grid(n)
         credible_interval(analytic_poisson_posterior(n, grid), 0.9999)
-        if n <= 99:  # the clip at 0 leaves the grid as it was before it was centred
-            assert np.array_equal(grid, np.linspace(0.0, n + 1 + 10.0 * math.sqrt(n + 1), 2001))
+        if n <= 99:  # the clip at 0 leaves the grid as it was before it was centred, but for its top of 20 at n <= 1
+            assert np.array_equal(grid, np.linspace(0.0, max(n + 1 + 10.0 * math.sqrt(n + 1), 20.0), 2001))
 
 
 class TestPolarWindow:
