@@ -3,22 +3,24 @@
 Subcommands: ``family`` tabulates a coherent-state probability family next
 to its closed-form pmf, ``infer`` tabulates the POV-quadrature posterior
 next to the analytic Gamma/Beta density, and ``verify`` runs the named
-residual checks.  Output is a JSON document (schema_version, command,
-config, rows, footer) or a CSV table with ``# key=value`` footer lines.
-Each command builds ``rows`` as columns, a dict from row key to an
+residual checks of ``_CHECKS``.  Output is a JSON document (schema_version,
+command, config, rows, footer) or a CSV table with ``# key=value`` footer
+lines.  Each command builds ``rows`` as columns, a dict from row key to an
 equal-length list; the JSON document is exactly ``json.dumps(..., indent=2)``
 of the payload with ``rows`` in record form, one object per row.
 Config values of the wrong type, out of range or not finite are a
 configuration error naming the key; ``infer`` reads no ``--trunc``.
 A size past one of the limits of ``_LIMITS`` (table rows, binomial trials,
 verify levels, the observed count) is refused before any work, by one line
-that names the limit.  Exit codes: 0 success or all checks passing, 1
-verification failure or numerical failure (a quadrature rule, mass or
-parameter grid that does not resolve the distribution, a truncation too
-small for the displacement, a state or distribution that overflowed to
-non-finite values), 2 usage or configuration error, an output that cannot
-be written and a size past a limit among them.  A run that fails writes no
-``--out`` file.
+that names the limit.  Each ``verify`` residual is gated once, by its row's
+threshold (``--tol`` when set): a finite residual is always a row, and one
+at or past its threshold is a fail row.  Exit codes: 0 success or all
+checks passing, 1 a fail row or a numerical failure (a quadrature rule, mass
+or parameter grid that does not resolve the distribution, a ``family
+poisson`` truncation too small for the displacement, a state, distribution
+or ``verify`` residual that overflowed to non-finite values), 2 usage or
+configuration error, an output that cannot be written and a size past a
+limit among them.  A run that fails writes no ``--out`` file.
 """
 
 from __future__ import annotations
@@ -50,8 +52,6 @@ SCHEMA_VERSION = 1
 
 _ROW_CUMULATIVE_STOP = 1e-12
 
-VERIFY_CHECKS = ("ladder", "bch", "gauss", "identity", "translation", "example12")
-
 # Every size the CLI refuses before any work, by `_refuse_past`: its value, what it bounds (the
 # words after the value in the refusal) and the measured basis of the value.
 _LIMITS = {
@@ -60,7 +60,8 @@ _LIMITS = {
              "the limit is 2-3.3 GB: `family poisson --lambda 1e6` builds 1,012,001 rows in about 505 MB."},
     "trials": {"value": 2**15, "bounds": "trials for binomial inference", "basis": "`infer binomial --n`. Central "
                "k overflow sqrt C(n, k) from about n = 2050, k = 0 and k = n underflow from n = 16446, k = n // 100 "
-               "exits 0 up to n = 17851, and past the limit every sampled (n, k) up to 10**6 exits 1."},
+               "flips between exit 0 and 1 from n = 17847 (its mass off by 1.1e-10) and exits 1 from 17852, and "
+               "past the limit every sampled (n, k) up to 10**6 exits 1."},
     "verify trunc": {"value": 4096, "bounds": "levels for verify", "basis": "`verify --trunc`. Dense trunc x trunc "
                      "matrices: at the limit `bch` peaks near 1.8 GB, `translation` near 820 MB and `ladder` near "
                      "280 MB (one BLAS thread), growing as trunc**2."},
@@ -88,7 +89,7 @@ class RunConfig:
 
     trunc: int | None = None
     tol: float | None = None
-    tail_tol: float = 1e-12
+    tail_tol: float = fock.DEFAULT_TAIL_TOL
     lambda_points: int = 2001
     p_points: int = 1001
     mass_levels: tuple[float, ...] = (0.5, 0.9, 0.95)
@@ -304,9 +305,9 @@ def _threshold(config: RunConfig, default: float) -> float:
     return config.tol if config.tol is not None else default
 
 
-def _verify_row(check: str, params: str, residual: float, threshold: float) -> dict:
+def _verify_row(params: str, residual: float, threshold: float) -> dict:
+    """One row of a check, without its ``check`` name, which ``_cmd_verify`` adds from ``_CHECKS``."""
     return {
-        "check": check,
         "params": params,
         "residual": float(residual),
         "threshold": threshold,
@@ -326,7 +327,7 @@ def _check_example12(config: RunConfig) -> list[dict]:
         probs = born_probabilities(state, pv)
         residual = float(np.abs(probs - exact).max())
         shown = " ".join(f"{p:.10g}" for p in probs)
-        rows.append(_verify_row("example12", f"state={name} probs=[{shown}]", residual, _threshold(config, 1e-14)))
+        rows.append(_verify_row(f"state={name} probs=[{shown}]", residual, _threshold(config, 1e-14)))
     return rows
 
 
@@ -351,10 +352,10 @@ def _check_ladder(config: RunConfig) -> list[dict]:
         levels, truncated_identity = number, np.diag(truncated_identity)
         creation_annihilation, annihilation_creation = annihilation.T @ annihilation, annihilation @ annihilation.T
     ladder_defect = float(np.abs(levels - creation_annihilation).max())
-    rows.append(_verify_row("ladder", f"relations trunc={trunc}", ladder_defect, _threshold(config, 1e-12)))
+    rows.append(_verify_row(f"relations trunc={trunc}", ladder_defect, _threshold(config, 1e-12)))
 
     comm_defect = float(np.abs(annihilation_creation - creation_annihilation - truncated_identity).max())
-    rows.append(_verify_row("ladder", f"commutation trunc={trunc}", comm_defect, _threshold(config, 1e-12)))
+    rows.append(_verify_row(f"commutation trunc={trunc}", comm_defect, _threshold(config, 1e-12)))
 
     e1, e2, e3 = spin.so3_basis()
     so3_defect = max(
@@ -362,7 +363,7 @@ def _check_ladder(config: RunConfig) -> list[dict]:
         float(np.abs(e2 @ e3 - e3 @ e2 - e1).max()),
         float(np.abs(e3 @ e1 - e1 @ e3 - e2).max()),
     )
-    rows.append(_verify_row("ladder", "so3 commutators", so3_defect, _threshold(config, 1e-12)))
+    rows.append(_verify_row("so3 commutators", so3_defect, _threshold(config, 1e-12)))
 
     srep = spin.build_spin_rep(25)
     j3, j_plus, j_minus = srep.j3, srep.j_plus, srep.j_minus
@@ -371,14 +372,14 @@ def _check_ladder(config: RunConfig) -> list[dict]:
         float(np.abs(j3 @ j_minus - j_minus @ j3 + j_minus).max()),
         float(np.abs(j_plus @ j_minus - j_minus @ j_plus - 2.0 * j3).max()),
     )
-    rows.append(_verify_row("ladder", "spin commutators j=25", spin_defect, _threshold(config, 1e-12)))
+    rows.append(_verify_row("spin commutators j=25", spin_defect, _threshold(config, 1e-12)))
     return rows
 
 
 def _check_bch(config: RunConfig, alpha: complex) -> list[dict]:
     trunc = config.trunc if config.trunc is not None else 64
     residual = fock.bch_check(alpha, fock.build_ladder(trunc))
-    return [_verify_row("bch", f"alpha={_fmt_complex(alpha)} trunc={trunc}", residual, _threshold(config, 1e-10))]
+    return [_verify_row(f"alpha={_fmt_complex(alpha)} trunc={trunc}", residual, _threshold(config, 1e-10))]
 
 
 def _check_gauss(config: RunConfig) -> list[dict]:
@@ -393,9 +394,8 @@ def _check_gauss(config: RunConfig) -> list[dict]:
         gamma = rng.uniform(0.0, 2.0 * math.pi)
         point = spin.SpherePoint(theta=theta, gamma=gamma)
         residual = spin.gauss_decomposition_check(spin.SpinRep(two_j=two_j), point)
-        rows.append(
-            _verify_row("gauss", f"j={two_j / 2} theta={theta:.4f} gamma={gamma:.4f}", residual, _threshold(config, 1e-9))
-        )
+        params = f"j={two_j / 2} theta={theta:.4f} gamma={gamma:.4f}"
+        rows.append(_verify_row(params, residual, _threshold(config, 1e-9)))
     return rows
 
 
@@ -413,14 +413,8 @@ def _check_translation(config: RunConfig) -> list[dict]:
         # D(beta) D(alpha) = e^{is} D(alpha + beta), s the central part of the product (0; beta)(0; alpha)
         expected = np.exp(1j * fock.wh_multiply(fock.WHGroupElement(0.0, beta), fock.WHGroupElement(0.0, alpha)).s)
         residual = max(abs(overlap - 1.0), abs(phase - expected))
-        rows.append(
-            _verify_row(
-                "translation",
-                f"alpha={_fmt_complex(alpha)} beta={_fmt_complex(beta)} trunc={trunc}",
-                residual,
-                _threshold(config, 1e-8),
-            )
-        )
+        params = f"alpha={_fmt_complex(alpha)} beta={_fmt_complex(beta)} trunc={trunc}"
+        rows.append(_verify_row(params, residual, _threshold(config, 1e-8)))
     return rows
 
 
@@ -429,17 +423,28 @@ def _check_identity(config: RunConfig) -> list[dict]:
     for j in (0.5, 1.0, 2.0, 5.0):
         family = inference.SpinCoherentFamily(spin.build_spin_rep(j))
         residual = inference.resolution_of_identity_check(family, inference.sphere_quadrature(j))
-        rows.append(_verify_row("identity", f"spin j={j}", residual, _threshold(config, 1e-12)))
+        rows.append(_verify_row(f"spin j={j}", residual, _threshold(config, 1e-12)))
     # 65 = 2 * 32 + 1 angle nodes cover every lag of the 32-element block (m uniform nodes alias
     # lag m onto lag 0)
     rule = inference.plane_quadrature((0.0, 10.0), inference.RADIAL_NODES, 65)
     residual = inference.resolution_of_identity_check(
         inference.FockCoherentFamily(32), rule, n_basis=20
     )
-    rows.append(
-        _verify_row("identity", f"plane trunc=32 cutoff=10 n_r={inference.RADIAL_NODES}", residual, _threshold(config, 1e-8))
-    )
+    params = f"plane trunc=32 cutoff=10 n_r={inference.RADIAL_NODES}"
+    rows.append(_verify_row(params, residual, _threshold(config, 1e-8)))
     return rows
+
+
+# Every verify check by name, in the order `--check all` runs them: its rows from the config and --alpha.
+_CHECKS = {
+    "ladder": lambda config, alpha: _check_ladder(config),
+    "bch": _check_bch,
+    "gauss": lambda config, alpha: _check_gauss(config),
+    "identity": lambda config, alpha: _check_identity(config),
+    "translation": lambda config, alpha: _check_translation(config),
+    "example12": lambda config, alpha: _check_example12(config),
+}
+VERIFY_CHECKS = tuple(_CHECKS)
 
 
 def _cmd_verify(config: RunConfig, check: str, alpha: complex) -> tuple[dict, int]:
@@ -447,21 +452,13 @@ def _cmd_verify(config: RunConfig, check: str, alpha: complex) -> tuple[dict, in
         _refuse_past("verify trunc", config.trunc, f"trunc {config.trunc} is")
     if not cmath.isfinite(alpha):
         raise UsageError(f"--alpha must be finite, got {alpha}")
-    runners = {
-        "example12": lambda: _check_example12(config),
-        "ladder": lambda: _check_ladder(config),
-        "bch": lambda: _check_bch(config, alpha),
-        "gauss": lambda: _check_gauss(config),
-        "translation": lambda: _check_translation(config),
-        "identity": lambda: _check_identity(config),
-    }
     if check == "all":
         names = VERIFY_CHECKS
-    elif check in runners:
+    elif check in _CHECKS:
         names = (check,)
     else:
         raise UsageError(f"unknown check {check!r}; choose from {('all',) + VERIFY_CHECKS}")
-    records = [record for name in names for record in runners[name]()]
+    records = [{"check": name, **row} for name in names for row in _CHECKS[name](config, alpha)]
     all_pass = all(record["status"] == "pass" for record in records)
     footer = {"all_pass": all_pass, "n_checks": len(records)}
     rows = {key: [record[key] for record in records] for key in records[0]}
@@ -571,7 +568,10 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Coherent-state probability families and their inferred posteriors.",
     )
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--trunc", type=int, help="Fock truncation of family poisson, basis size of verify; infer ignores it")
+    common.add_argument(
+        "--trunc", type=int,
+        help="Fock levels of family poisson and verify ladder, bch, translation; other commands and checks ignore it",
+    )
     common.add_argument("--tol", type=float, help="residual threshold of every verify check; family and infer ignore it")
     common.add_argument("--out", help="output path (default: stdout)")
     common.add_argument("--format", choices=["json", "csv"], help="output format")
@@ -593,7 +593,7 @@ def _build_parser() -> argparse.ArgumentParser:
     infer.add_argument("--k", type=int, help="observed binomial count")
 
     verify = sub.add_parser("verify", parents=[common], help="run residual checks")
-    verify.add_argument("--check", required=True, help="ladder|bch|gauss|identity|translation|example12|all")
+    verify.add_argument("--check", required=True, help="|".join((*VERIFY_CHECKS, "all")))
     verify.add_argument("--alpha", type=complex, default=1.0 + 0.0j, help="displacement for the bch check")
     return parser
 

@@ -29,7 +29,6 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Union
 
 import numpy as np
 
@@ -306,11 +305,8 @@ class SpinCoherentFamily:
         return np.linspace(0.0, 1.0, points)
 
 
-CoherentFamily = Union[FockCoherentFamily, SpinCoherentFamily]
-
-
 def resolution_of_identity_check(
-    family: CoherentFamily,
+    family: FockCoherentFamily | SpinCoherentFamily,
     rule: QuadratureRule,
     n_basis: int | None = None,
 ) -> float:
@@ -425,7 +421,9 @@ def _gauss_legendre_mass(density, low: float, high: float) -> float:
     return float(np.sum(w * density(t)) * (high - low) / 2.0)
 
 
-def _tabulate(family: CoherentFamily, observed: int, density, grid) -> tuple[np.ndarray, np.ndarray, float]:
+def _tabulate(
+    family: FockCoherentFamily | SpinCoherentFamily, observed: int, density, grid
+) -> tuple[np.ndarray, np.ndarray, float]:
     """The grid (the family's default when None), ``density`` on it, and its mass on the family's window.
 
     ``density`` meets the grid first, so the analytic densities check their counts before the window
@@ -449,7 +447,9 @@ def analytic_binomial_posterior(n: int, k: int, grid: np.ndarray | None = None) 
     return InferredDistribution(family.parameter, *_tabulate(family, k, density, grid), "analytic")
 
 
-def infer_via_pov(observed: int, family: CoherentFamily, grid: np.ndarray | None = None) -> InferredDistribution:
+def infer_via_pov(
+    observed: int, family: FockCoherentFamily | SpinCoherentFamily, grid: np.ndarray | None = None
+) -> InferredDistribution:
     """Inferred distribution of the family's canonical parameter for an observed count.
 
     The joint density |<phi_obs, v>|^2 = m_obs(principal)^2 does not depend

@@ -42,6 +42,12 @@ CONTRACTS = (
     Contract("verify --check translation --trunc 512", 0, None, "one eigh of A + A+ per Fock space: 512 levels pass"),
     Contract("verify --check translation --trunc 128", 0, None,
              "the translation check displaces through numpy's eigh of A + A+; its runs are byte-identical", repeat=True),
+    Contract("verify --check translation --trunc 32 --tol 1e-7", 0, None, "--tol is the one gate of the "
+             "translation residual: at 32 levels the residuals reach 2.1e-8, below 1e-7"),
+    Contract("verify --check translation --trunc 32", 1, None, "two of the 32-level residuals are past the 1e-8 "
+             "default: fail rows on stdout, not a numerical failure"),
+    Contract("verify --check all --trunc 3", 1, None, "3 levels are too few for bch and translation: all 42 rows "
+             "on stdout, those of bch and translation failing on finite residuals"),
     Contract("verify --check bch --alpha=3 --trunc 256", 0, None, "the largest BCH case the benchmark samples passes"),
     Contract("verify --check bch --alpha=3+1j --trunc 255", 0, None, "an odd truncation gives the displacement "
              "generator a rectangular even/odd block; its runs are byte-identical", repeat=True),

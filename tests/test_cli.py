@@ -472,12 +472,30 @@ class TestVerifyCommand:
         row = payload["rows"][0]
         assert row["status"] == "fail" and math.isfinite(row["residual"])
 
-    # 3 levels are too few for the sampled displacements: the overlap is printed as a plain float
-    def test_translation_failure_message_shows_a_plain_overlap(self, capsys):
-        assert main(["verify", "--check", "translation", "--trunc", "3", "--out", os.devnull]) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("numerical failure: overlap 0.")
-        assert "np.float64" not in err
+    # 3 levels are too few for the sampled displacements, but their residuals stay finite: fail rows,
+    # not a numerical failure, beside every other row of the run
+    @pytest.mark.parametrize(
+        "check, n_rows, failing",
+        [("translation", 10, {"translation"}), ("all", 42, {"bch", "translation"})],
+        ids=["translation", "all"],
+    )
+    def test_under_truncated_translation_is_a_finite_fail_row(self, tmp_path, check, n_rows, failing):
+        code, payload = run_json(tmp_path, ["verify", "--check", check, "--trunc", "3"])
+        assert code == 1
+        rows = payload["rows"]
+        assert len(rows) == n_rows and all(math.isfinite(row["residual"]) for row in rows)
+        assert all(row["status"] == "fail" for row in rows if row["check"] == "translation")
+        assert {row["check"] for row in rows if row["status"] == "fail"} == failing
+
+    # --tol is the one gate of every residual: it is each row's threshold, and a run whose residuals
+    # all lie below it exits 0; translation at 32 levels has residuals up to 2.1e-8, past its 1e-8 default
+    @pytest.mark.parametrize("check", cli.VERIFY_CHECKS)
+    def test_tol_gates_every_residual(self, tmp_path, check):
+        code, payload = run_json(tmp_path, ["verify", "--check", check, "--trunc", "32", "--tol", "1e-7"])
+        assert code == 0
+        for row in payload["rows"]:
+            assert row["threshold"] == 1e-7
+            assert row["residual"] < 1e-7 and row["status"] == "pass"
 
     # the position spectrum is computed once per Fock space, not once per displacement
     def test_translation_makes_one_eigendecomposition(self, monkeypatch):
@@ -762,6 +780,14 @@ class TestImportPath:
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
         )
         return self._fresh(code)
+
+    # `python -m cohstat` runs cli.main: the same exit code and stdout as a run in process
+    def test_module_entry_point_matches_main(self, capsys):
+        argv = ["verify", "--check", "example12"]
+        env = dict(os.environ, PYTHONPATH=str(Path(cohstat.__file__).parent.parent))
+        result = subprocess.run([sys.executable, "-m", "cohstat", *argv], env=env, capture_output=True, text=True)
+        code = main(argv)
+        assert (result.returncode, result.stdout) == (code, capsys.readouterr().out)
 
     def test_blocked_scipy_cannot_be_imported(self):
         code = self._BLOCK_SCIPY + (
