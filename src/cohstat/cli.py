@@ -63,8 +63,10 @@ _LIMITS = {
                "flips between exit 0 and 1 from n = 17847 (its mass off by 1.1e-10) and exits 1 from 17852, and "
                "past the limit every sampled (n, k) up to 10**6 exits 1."},
     "verify trunc": {"value": 4096, "bounds": "levels for verify", "basis": "`verify --trunc`. Dense trunc x trunc "
-                     "matrices: at the limit `bch` peaks near 1.8 GB, `translation` near 820 MB and `ladder` near "
-                     "280 MB (one BLAS thread), growing as trunc**2."},
+                     "matrices: at the limit, in a fresh process with one BLAS thread, `bch --alpha=3` takes 7.6 s and "
+                     "peaks near 1.65 GB, `translation` 13.6 s and 690 MB (most of both in numpy's eigh of A + A+), and "
+                     "`ladder` peaks near 280 MB, the memory growing as trunc**2. A process keeps the eigenpairs of "
+                     "A + A+ for its last two truncations, 134 MB each at the limit."},
     "observed count": {"value": 2**63 - 1, "bounds": "counts for Poisson inference", "basis": "`infer poisson "
                        "--observed`, the largest int64: past 2**64 `fock`'s log factorial cannot square the count. "
                        "Counts from 10**14 exit 1, their analytic Gamma mass missing 1."},

@@ -9,8 +9,9 @@ states come from two routes that must agree: the closed-form expansion
 with coefficients e^{-|a|^2/2} a^k / sqrt(k!), and the displacement applied
 to the vacuum.  Its generator a*A+ - conj(a)*A equals -i|a| W S W*, with
 W = diag(e^{ik(arg a + pi/2)}) and the real tridiagonal S = A + A+, so
-displacements use the eigendecomposition of S (numpy's eigh), which depends
-only on the truncation and is computed once per space.  Squared
+displacements apply ``linops._phased_exponential`` to the eigenpairs of S
+(numpy's eigh), which depend only on the truncation and are kept, read-only,
+for the last two truncations used in the process.  Squared
 coefficients are the Poisson(|a|^2) weights, which come from Loader's
 saddle-point form of the pmf in numpy; the same kernel gives the binomial
 weights in ``spin``.
@@ -18,13 +19,13 @@ weights in ``spin``.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
-from .linops import matrix_exponential, phase_aligned_distance
+from .linops import _phased_exponential, _tridiagonal_spectrum, matrix_exponential, phase_aligned_distance
 from .pv_measure import NonFiniteError, VectorState
 
 __all__ = [
@@ -64,9 +65,7 @@ class FockSpace:
     Its ladder matrices are real and built when read: A phi_k = sqrt(k)
     phi_{k-1}, the creation matrix A+ is the transpose of A, and the number
     matrix is diagonal with entries 0..dim-1.  On the top basis vector A+
-    annihilates instead of raising (truncation).  The eigenpairs of
-    A + A+, which every displacement on the space uses, are computed on
-    first read and kept.
+    annihilates instead of raising (truncation).
     """
 
     dim: int
@@ -86,12 +85,6 @@ class FockSpace:
     @property
     def number(self) -> np.ndarray:
         return np.diag(np.arange(float(self.dim)))
-
-    @cached_property
-    def position_spectrum(self) -> tuple[np.ndarray, np.ndarray]:
-        """Eigenpairs of S = A + A+ (sqrt(2) times the truncated position operator)."""
-        a = self.annihilation
-        return np.linalg.eigh(a + a.T)
 
 
 def build_ladder(dim: int) -> FockSpace:
@@ -270,16 +263,22 @@ def coherent_closed_form(alpha: complex, space: FockSpace, tail_tol: float = DEF
     return CoherentStateWH(VectorState.from_unnormalized(coherent_amplitudes(alpha, space.dim)), tail)
 
 
-def _displace(alpha: complex, vec: np.ndarray, spectrum: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
-    """exp(alpha A+ - conj(alpha) A) vec as W Q diag(e^{-i|alpha|lambda}) Q^T W* vec."""
+@functools.lru_cache(maxsize=2)
+def _position_spectrum(dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only eigenpairs of S = A + A+ (sqrt(2) times the truncated position operator), built from its band.
+
+    An entry holds 8 (dim^2 + dim) bytes: 134 MB at verify's limit of 4096
+    levels, so the two kept retain at most 268 MB.
+    """
+    return _tridiagonal_spectrum(np.sqrt(np.arange(1.0, dim)))
+
+
+def _displace(alpha: complex, vec: np.ndarray) -> np.ndarray:
+    """exp(alpha A+ - conj(alpha) A) vec = W exp(-i|alpha| S) W* vec, W = diag(e^{ik(arg alpha + pi/2)})."""
     if not np.isfinite(alpha):
         raise ValueError("displacement must be finite")
-    eigenvalues, q = spectrum
-    w = np.exp(1j * (np.angle(alpha) + 0.5 * math.pi) * np.arange(eigenvalues.size))
-    # Q is real: multiply it into the (d, 2) real view of each complex vector
-    x = (q.T @ (np.conjugate(w) * vec).view(float).reshape(-1, 2)).view(complex).ravel()
-    y = np.exp(-1j * abs(alpha) * eigenvalues) * x
-    return w * (q @ y.view(float).reshape(-1, 2)).view(complex).ravel()
+    phases = np.exp(1j * (np.angle(alpha) + 0.5 * math.pi) * np.arange(vec.size))
+    return _phased_exponential(_position_spectrum(vec.size), -abs(alpha), phases, vec)
 
 
 def _vacuum(dim: int) -> np.ndarray:
@@ -297,7 +296,7 @@ def coherent_via_exponential(alpha: complex, rep: FockSpace) -> CoherentStateWH:
     """
     alpha = complex(alpha)
     closed = coherent_closed_form(alpha, rep, tail_tol=_ROUTE_TAIL_TOL)
-    vec = _displace(alpha, _vacuum(rep.dim), rep.position_spectrum)
+    vec = _displace(alpha, _vacuum(rep.dim))
     distance = phase_aligned_distance(vec, closed.vector.vector)
     if distance > _ROUTE_LIMIT:
         raise TruncationError(
@@ -316,7 +315,8 @@ def bch_check(alpha: complex, rep: FockSpace) -> float:
     give.  Both sides are evaluated with the matrix exponential, by
     independent routes: the single-band O1 and O2 by their terminating power
     series, the real diagonal commutator entry by entry, and the tridiagonal
-    skew-Hermitian O1 + O2 through the SVD of its even/odd block.  The
+    skew-Hermitian O1 + O2, with the phases of its band divided out, through
+    the real SVD of its even/odd block.  The
     residual is small only when the truncation is large enough for |alpha|,
     so this doubles as a truncation probe.  Raises NonFiniteError when
     either side overflows.
@@ -352,9 +352,8 @@ def displacement_translation_check(alpha: complex, beta: complex, rep: FockSpace
     alpha = complex(alpha)
     beta = complex(beta)
     vacuum = _vacuum(rep.dim)
-    spectrum = rep.position_spectrum
-    moved = _displace(beta, _displace(alpha, vacuum, spectrum), spectrum)
-    direct = _displace(beta + alpha, vacuum, spectrum)
+    moved = _displace(beta, _displace(alpha, vacuum))
+    direct = _displace(beta + alpha, vacuum)
     overlap_c = np.vdot(direct, moved)
     overlap = float(abs(overlap_c))
     return overlap, complex(overlap_c / overlap)

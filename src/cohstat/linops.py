@@ -8,10 +8,15 @@ and inner products are numpy expressions (``m.conj().T``, ``a @ b - b @ a``,
 the structure of its input: a diagonal matrix (a truncated commutator, a
 weight factor) entry by entry, a single-band nilpotent matrix (a ladder
 factor) by its terminating power series, and a zero-diagonal tridiagonal
-skew-Hermitian generator (of a displacement or a rotation) through the SVD
-of the half-size block that couples its even levels to its odd ones; it
-refuses every other matrix, and the package builds none.  All functions
-are pure and operate on plain numpy arrays.
+skew-Hermitian matrix (the BCH check's displacement generator) by dividing
+the phases out of its band and taking the real SVD of the half-size block
+that couples its even levels to its odd ones; it refuses every other
+matrix, and the package builds none.  The group actions themselves, a
+displacement of the plane and a rotation of the sphere, are both
+exp(i t W S W*) for unit phases W and a real symmetric tridiagonal S that
+depends only on the size; ``_phased_exponential`` applies one from the
+read-only eigenpairs of S that ``_tridiagonal_spectrum`` gives.  All
+functions are pure and operate on plain numpy arrays.
 """
 
 from __future__ import annotations
@@ -60,26 +65,69 @@ def _exp_subdiagonal(band: np.ndarray) -> np.ndarray:
 def _exp_bipartite(m: np.ndarray) -> np.ndarray:
     """exp(m) for a skew-Hermitian m whose nonzeros all lie on offsets +1 and -1.
 
-    Such an m couples each level only to its neighbours, so in even/odd
-    order it is [[0, M], [-M*, 0]] with the ceil(d/2) x floor(d/2)
-    bidiagonal block M = m[even, odd].  With M = U diag(s) Vh (the SVD that
-    Golub & Kahan, 1965, relate to the eigenpairs of this bipartite form),
-    exp(m) has the blocks U cos(s) U* (cos 0 = 1 on U's extra column when
-    d is odd), U sin(s) Vh, its negated adjoint, and Vh* cos(s) Vh, as
-    exp([[0, s], [-s, 0]]) = [[cos s, sin s], [-sin s, cos s]] does for a
-    scalar s: one SVD and three products of half the size.
+    With the unit phases d_{k+1} = d_k i e^{-i arg u_k} of the upper band u,
+    D* m D = iT for the real T whose bands are |u|, so exp(m) = D exp(iT) D*.  T couples each level only to its
+    neighbours: in even/odd order iT is [[0, iB], [iB^T, 0]] with the real
+    ceil(d/2) x floor(d/2) bidiagonal block B = T[even, odd].  With
+    B = U diag(s) V^T (the SVD that Golub & Kahan, 1965, relate to the
+    eigenpairs of this bipartite form), exp(iT) has the blocks U cos(s) U^T
+    (cos 0 = 1 on U's extra column when d is odd), i U sin(s) V^T, its
+    transpose, and V cos(s) V^T, as exp([[0, is], [is, 0]]) =
+    [[cos s, i sin s], [i sin s, cos s]] does for a scalar s: one real SVD
+    and three real products of half the size.  Each phase d_{k+1} comes
+    from d_k by one rounded product, so D* m D is iT to a rounding per
+    entry however far the accumulated phase has drifted.
     """
-    u, s, vh = np.linalg.svd(m[::2, 1::2])
+    upper = np.diagonal(m, 1)
+    magnitude = np.abs(upper)
+    phases = np.cumprod(np.append(1.0, 1j * np.exp(-1j * np.angle(upper))))
+    phases /= np.abs(phases)
+    block = np.zeros(((phases.size + 1) // 2, phases.size // 2))
+    above, below = magnitude[::2], magnitude[1::2]
+    block[np.arange(above.size), np.arange(above.size)] = above  # T[2i, 2i+1]
+    block[np.arange(1, below.size + 1), np.arange(below.size)] = below  # T[2i, 2i-1]
+    u, s, vt = np.linalg.svd(block)
     cos_s = np.cos(s)
     cos_even = np.ones(u.shape[0])
     cos_even[: s.size] = cos_s
-    off = (u[:, : s.size] * np.sin(s)) @ vh
+    off = (u[:, : s.size] * np.sin(s)) @ vt
     result = np.empty_like(m)
-    result[::2, ::2] = (u * cos_even) @ u.conj().T
-    result[::2, 1::2] = off
-    result[1::2, ::2] = -off.conj().T
-    result[1::2, 1::2] = (vh.conj().T * cos_s) @ vh
+    result[::2, ::2] = (u * cos_even) @ u.T
+    result[::2, 1::2] = 1j * off
+    result[1::2, ::2] = 1j * off.T
+    result[1::2, 1::2] = (vt.T * cos_s) @ vt
+    result *= phases[:, None]
+    result *= phases.conj()
     return result
+
+
+def _tridiagonal_spectrum(band: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only eigenpairs (lambda, Q) of the real symmetric S with zero diagonal and ``band`` beside it.
+
+    S is built from its band and handed to numpy's eigh, so lambda ascends
+    and the columns of the real orthogonal Q are its eigenvectors.  The
+    arrays cannot be written, so a cache may hand them out.
+    """
+    s = np.diag(band, 1)
+    s += s.T
+    eigenvalues, q = np.linalg.eigh(s)
+    eigenvalues.flags.writeable = q.flags.writeable = False
+    return eigenvalues, q
+
+
+def _phased_exponential(spectrum, t: float, phases: np.ndarray, operand: np.ndarray) -> np.ndarray:
+    """exp(i t W S W*) operand, for W = diag(phases) of unit phases and S = Q diag(lambda) Q^T real.
+
+    Written as operand + W Q diag(e^{i t lambda} - 1) Q^T W* operand, the
+    operand a vector or a matrix: Q is real, so both products with it run on
+    the real view of the complex columns, and t = 0 returns the operand
+    exactly.
+    """
+    eigenvalues, q = spectrum
+    columns = np.conjugate(phases)[:, None] * operand.reshape(eigenvalues.size, -1)
+    x = (q.T @ columns.view(float)).view(complex)
+    x *= np.expm1(1j * t * eigenvalues)[:, None]
+    return operand + (phases[:, None] * (q @ x.view(float)).view(complex)).reshape(operand.shape)
 
 
 def matrix_exponential(m) -> np.ndarray:
@@ -96,12 +144,13 @@ def matrix_exponential(m) -> np.ndarray:
       with no scaling and squaring, and each entry, a product of n band
       entries over n!, is correct to about 2n roundings.
     - A tridiagonal skew-Hermitian m with a zero diagonal (every nonzero on
-      offsets +-1, with upper band == -conj(lower band); the generators
-      alpha A+ - conj(alpha) A of the displacements and
-      i theta (sin g J1 - cos g J2) of the rotations) couples even levels
-      only to odd ones, so exp(m) follows from the SVD of the
+      offsets +-1, with upper band == -conj(lower band); the BCH check's
+      O1 + O2 = alpha A+ - conj(alpha) A) is i times a real tridiagonal
+      matrix once the phases of its band are divided out, and couples even
+      levels only to odd ones, so exp(m) follows from the real SVD of the
       ceil(d/2) x floor(d/2) block between them: a quarter of the matrix in
-      place of a d x d eigendecomposition, unitary to rounding.
+      place of a d x d eigendecomposition, in real arithmetic, unitary to
+      rounding.
 
     Each test is exact, on the entries themselves, and exp(0) is the identity
     exactly.  Raises ValueError for non-finite entries and for an input with

@@ -4,7 +4,11 @@ The 2j+1 dimensional representation is built from its ladder relations
 with the basis ordered m = -j..j (lowest weight first), so the reference
 vector phi_{-j} is the first column and k = j + m indexes outcomes 0..2j.
 Coherent states on the sphere come from a closed-form coefficient formula
-and from the rotation exponential applied to phi_{-j}; their squared
+and from the rotation exponential applied to phi_{-j}.  The rotation's
+generator i theta (sin g J1 - cos g J2) equals i theta W J1 W*, with
+W = diag(e^{ik(pi/2 - g)}) and the real tridiagonal J1, so rotations apply
+``linops._phased_exponential`` to the eigenpairs of J1 (numpy's eigh), kept
+read-only per 2j; their squared
 coefficients are binomial(2j, sin^2(theta/2)) weights, which come from
 the saddle-point pmf kernel of ``fock`` in numpy.  Half-integers are
 carried as exact doubled integers to avoid floating-point equality on j
@@ -13,13 +17,14 @@ and m.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .fock import _EXTENDED, _ROUTE_LIMIT, _bd0, _log_factorial_excess
-from .linops import matrix_exponential, phase_aligned_distance
+from .linops import _phased_exponential, _tridiagonal_spectrum, matrix_exponential, phase_aligned_distance
 from .pv_measure import VectorState
 
 __all__ = [
@@ -149,16 +154,28 @@ def spin_coherent_closed_form(rep: SpinRep, point: SpherePoint) -> VectorState:
     return VectorState(coherent_amplitudes(rep, point.theta, point.gamma))
 
 
+@functools.lru_cache(maxsize=32)
+def _j1_spectrum(two_j: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only eigenpairs of J1 = (J+ + J-)/2, built from its band, the half band of J+.
+
+    ``verify --check gauss`` cycles through 2j = 1..20, so the cache keeps
+    32 entries, more than that cycle.  An entry holds 8 (d^2 + d) bytes for
+    d = 2j + 1: under 30 kB for the whole cycle, and at most 32 entries of
+    the largest 2j a process asks for.
+    """
+    return _tridiagonal_spectrum(np.diagonal(SpinRep(two_j).j_plus, -1) / 2.0)
+
+
 def rotation_matrix(rep: SpinRep, point: SpherePoint) -> np.ndarray:
     """exp(i theta (sin g J1 - cos g J2)), the displacement to ``point``.
 
-    J+ is read once; J1 = (J+ + J-)/2 and J2 = (J+ - J-)/2i with J- = J+^T.
+    J1 = (J+ + J-)/2 and J2 = (J+ - J-)/2i, so the generator's entry (k+1, k)
+    is (J+)_{k+1,k} i e^{-ig}/2: it is i theta W J1 W* with
+    W = diag(e^{ik(pi/2 - g)}), applied from the eigenpairs of the real J1
+    with no matrix exponential.  theta = 0 gives the identity exactly.
     """
-    j_plus = rep.j_plus
-    j1 = (j_plus + j_plus.T) / 2.0
-    j2 = (j_plus - j_plus.T) / 2.0j
-    generator = math.sin(point.gamma) * j1 - math.cos(point.gamma) * j2
-    return matrix_exponential(1j * point.theta * generator)
+    phases = np.exp(1j * (0.5 * math.pi - point.gamma) * np.arange(rep.dim))
+    return _phased_exponential(_j1_spectrum(rep.two_j), point.theta, phases, np.eye(rep.dim, dtype=complex))
 
 
 def spin_coherent_via_exponential(rep: SpinRep, point: SpherePoint) -> VectorState:
@@ -178,12 +195,11 @@ def gauss_decomposition_check(rep: SpinRep, point: SpherePoint) -> float:
     """Operator-norm residual of D = exp(z J+) exp(eta J3) exp(z' J-).
 
     z = -tan(theta/2) e^{-i gamma}, eta = ln(1+|z|^2), z' = -conj(z).
-    Both sides are computed independently with the matrix exponential: the
-    rotation's generator is tridiagonal, skew-Hermitian and zero on the
-    diagonal, and goes through the SVD of its even/odd block; the
-    single-band z J+ and z' J- go through their terminating power series
-    and the diagonal eta J3 entry by entry.  The factors read J+ once and
-    take J- as its transpose.
+    The two sides come by independent routes: the rotation from the
+    eigenpairs of J1 (``rotation_matrix``), the factors from the matrix
+    exponential, the single-band z J+ and z' J- by their terminating power
+    series and the diagonal eta J3 entry by entry.  The factors read J+ once
+    and take J- as its transpose.
     Raises ValueError when theta is too close to pi for tan(theta/2).
     """
     half = point.theta / 2.0

@@ -36,10 +36,10 @@ class Contract(NamedTuple):
 
 
 CONTRACTS = (
-    Contract("verify --check all", 0, None, "verify residuals (LAPACK SVD for the displacement and rotation "
-             "exponentials, LAPACK eigh for the translation check) are byte-identical across runs", repeat=True),
+    Contract("verify --check all", 0, None, "verify residuals (LAPACK SVD for the BCH exponential, LAPACK eigh "
+             "for the displacements and rotations) are byte-identical across runs", repeat=True),
     Contract("verify --check all --format csv", 0, None, "every verify row renders as CSV"),
-    Contract("verify --check translation --trunc 512", 0, None, "one eigh of A + A+ per Fock space: 512 levels pass"),
+    Contract("verify --check translation --trunc 512", 0, None, "one eigh of A + A+ per truncation: 512 levels pass"),
     Contract("verify --check translation --trunc 128", 0, None,
              "the translation check displaces through numpy's eigh of A + A+; its runs are byte-identical", repeat=True),
     Contract("verify --check translation --trunc 32 --tol 1e-7", 0, None, "--tol is the one gate of the "

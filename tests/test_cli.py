@@ -497,7 +497,7 @@ class TestVerifyCommand:
             assert row["threshold"] == 1e-7
             assert row["residual"] < 1e-7 and row["status"] == "pass"
 
-    # the position spectrum is computed once per Fock space, not once per displacement
+    # the position spectrum is computed once per size and process, not once per run or displacement
     def test_translation_makes_one_eigendecomposition(self, monkeypatch):
         calls = []
 
@@ -507,8 +507,20 @@ class TestVerifyCommand:
 
         eigh = np.linalg.eigh
         monkeypatch.setattr(np.linalg, "eigh", counting)
-        assert main(["verify", "--check", "translation", "--trunc", "128", "--out", os.devnull]) == 0
+        fock._position_spectrum.cache_clear()
+        for _ in range(2):
+            assert main(["verify", "--check", "translation", "--trunc", "128", "--out", os.devnull]) == 0
         assert calls == [(128, 128)]
+
+    # the cached spectra change no byte: a run with cold caches prints what a run with warm ones does
+    def test_cached_spectra_leave_stdout_unchanged(self, capsys):
+        argv = ["verify", "--check", "all", "--seed", "3"]
+        fock._position_spectrum.cache_clear()
+        spin._j1_spectrum.cache_clear()
+        assert main(argv) == 0
+        cold = capsys.readouterr().out
+        assert main(argv) == 0
+        assert capsys.readouterr().out == cold
 
     # the ladder rows read the band of A; their residuals are those of the dense products bit for bit
     @pytest.mark.parametrize("trunc", [2, 3, 17, 256, 512])

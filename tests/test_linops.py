@@ -215,8 +215,21 @@ class TestExponentialRoutes:
             spin.rotation_matrix(rep, point)
             spin.spin_coherent_via_exponential(rep, point)
             spin.gauss_decomposition_check(rep, point)
-        # the Gauss check's rotation, then exp(z J+), exp(eta J3), exp(z' J-)
-        assert routes == ["tridiagonal"] * 3 + ["band", "diagonal", "band"]
+        # the rotations come from the eigenpairs of J1; only exp(z J+), exp(eta J3), exp(z' J-) remain
+        assert routes == ["band", "diagonal", "band"]
+
+
+class TestCachedSpectra:
+    """The eigenpairs kept per size for the displacements and the rotations."""
+
+    @pytest.mark.parametrize("spectrum", [lambda: fock._position_spectrum(8), lambda: spin._j1_spectrum(7)],
+                             ids=["fock", "spin"])
+    def test_cached_arrays_are_read_only(self, spectrum):
+        eigenvalues, q = spectrum()
+        with pytest.raises(ValueError, match="read-only"):
+            eigenvalues[0] = 0.0
+        with pytest.raises(ValueError, match="read-only"):
+            q[0, 0] = 0.0
 
 
 class TestHermitianEigendecomposition:
