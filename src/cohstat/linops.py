@@ -5,13 +5,14 @@ exponential, a Hermitian eigendecomposition in descending order, and the
 distance between two vectors up to a global phase.  Adjoints, commutators
 and inner products are numpy expressions (``m.conj().T``, ``a @ b - b @ a``,
 ``np.vdot``).  The exponential takes one of three exact routes, chosen from
-the structure of its input: a diagonal matrix (a truncated commutator, a
-weight factor) entry by entry, a single-band nilpotent matrix (a ladder
-factor) by its terminating power series, and a zero-diagonal tridiagonal
-skew-Hermitian matrix (the BCH check's displacement generator) by dividing
-the phases out of its band and taking the real SVD of the half-size block
-that couples its even levels to its odd ones; it refuses every other
-matrix, and the package builds none.  The group actions themselves, a
+the structure of its input: a diagonal matrix (a truncated commutator)
+entry by entry, a single-band nilpotent matrix (the BCH check's ladder
+factors, and J+ once per spin size for the Gauss factors) by its
+terminating power series, and a zero-diagonal tridiagonal skew-Hermitian
+matrix (the BCH check's displacement generator) by dividing the phases out
+of its band and taking the real SVD of the half-size block that couples
+its even levels to its odd ones; it refuses every other matrix, and the
+package builds none.  The group actions themselves, a
 displacement of the plane and a rotation of the sphere, are both
 exp(i t W S W*) for unit phases W and a real symmetric tridiagonal S that
 depends only on the size; ``_phased_exponential`` applies one from the
@@ -136,10 +137,10 @@ def matrix_exponential(m) -> np.ndarray:
     There is no option; the input picks the first route whose structure it has:
 
     - A diagonal m (every nonzero on the main diagonal; the truncated
-      commutator, eta J3, the zero matrix) gives diag(e^{m_kk}) entry for
+      commutator, the zero matrix) gives diag(e^{m_kk}) entry for
       entry.
     - A single-band m (every nonzero on offset -1, or every nonzero on
-      offset +1; the ladder factors alpha A+, -conj(alpha) A, z J+, z' J-)
+      offset +1; the ladder factors alpha A+, -conj(alpha) A, and J+)
       is nilpotent, so its power series stops after d terms: O(d^2) work
       with no scaling and squaring, and each entry, a product of n band
       entries over n!, is correct to about 2n roundings.

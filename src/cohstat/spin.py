@@ -8,11 +8,11 @@ and from the rotation exponential applied to phi_{-j}.  The rotation's
 generator i theta (sin g J1 - cos g J2) equals i theta W J1 W*, with
 W = diag(e^{ik(pi/2 - g)}) and the real tridiagonal J1, so rotations apply
 ``linops._phased_exponential`` to the eigenpairs of J1 (numpy's eigh), kept
-read-only per 2j; their squared
-coefficients are binomial(2j, sin^2(theta/2)) weights, which come from
-the saddle-point pmf kernel of ``fock`` in numpy.  Half-integers are
-carried as exact doubled integers to avoid floating-point equality on j
-and m.
+read-only per 2j, as is the real exp(J+) whose entries, times powers of z,
+are the Gauss check's triangular factors.  Squared coefficients are
+binomial(2j, sin^2(theta/2)) weights from the saddle-point pmf kernel of
+``fock`` in numpy.  Half-integers are carried as exact doubled integers to
+avoid floating-point equality on j and m.
 """
 
 from __future__ import annotations
@@ -191,15 +191,32 @@ def spin_coherent_via_exponential(rep: SpinRep, point: SpherePoint) -> VectorSta
     return VectorState.from_unnormalized(vec)
 
 
+@functools.lru_cache(maxsize=32)
+def _j_plus_exponential(two_j: int) -> np.ndarray:
+    """Read-only exp(J+), real and lower triangular, from the band route of ``matrix_exponential``."""
+    exponential = matrix_exponential(SpinRep(two_j).j_plus).real.copy()
+    exponential.flags.writeable = False
+    return exponential
+
+
+def _raising_exponential(two_j: int, z) -> np.ndarray:
+    """exp(z J+) = Z exp(J+) Z^{-1}, Z = diag(z^k): entry (r, c) is z^{r-c} times that of the cached exp(J+)."""
+    levels = np.arange(two_j + 1)
+    return (z**levels)[np.subtract.outer(levels, levels).clip(0)] * _j_plus_exponential(two_j)
+
+
 def gauss_decomposition_check(rep: SpinRep, point: SpherePoint) -> float:
     """Operator-norm residual of D = exp(z J+) exp(eta J3) exp(z' J-).
 
     z = -tan(theta/2) e^{-i gamma}, eta = ln(1+|z|^2), z' = -conj(z).
     The two sides come by independent routes: the rotation from the
-    eigenpairs of J1 (``rotation_matrix``), the factors from the matrix
-    exponential, the single-band z J+ and z' J- by their terminating power
-    series and the diagonal eta J3 entry by entry.  The factors read J+ once
-    and take J- as its transpose.
+    eigenpairs of J1 (``rotation_matrix``), the factors from the
+    terminating power series of J+ (``_raising_exponential``): exp(z' J-)
+    is the transpose of exp(z' J+), and exp(eta J3) scales the columns by
+    e^{eta m}.  exp(J+) is kept per 2j, 32 sizes like the eigenpairs of J1
+    (more than the 20 of ``verify --check gauss``), in 8 d^2 bytes for
+    d = 2j + 1: 26 kB for the 20 sizes.  Only powers z^n with n >= 0
+    enter, so theta = 0 gives the identity exactly.
     Raises ValueError when theta is too close to pi for tan(theta/2).
     """
     half = point.theta / 2.0
@@ -209,13 +226,9 @@ def gauss_decomposition_check(rep: SpinRep, point: SpherePoint) -> float:
     eta = math.log1p(abs(zeta) ** 2)
     zeta_prime = -np.conjugate(zeta)
     displacement = rotation_matrix(rep, point)
-    j_plus = rep.j_plus
-    factored = (
-        matrix_exponential(zeta * j_plus)
-        @ matrix_exponential(eta * rep.j3)
-        @ matrix_exponential(zeta_prime * j_plus.T)
-    )
-    return float(np.linalg.norm(displacement - factored, 2))
+    lower, upper = _raising_exponential(rep.two_j, zeta), _raising_exponential(rep.two_j, zeta_prime).T
+    factored = (lower * np.exp(eta * rep.m_values)) @ upper
+    return float(np.linalg.svd(displacement - factored, compute_uv=False)[0])
 
 
 def _two_ell_index(rep: SpinRep, ell) -> int:

@@ -48,6 +48,10 @@ CONTRACTS = (
              "default: fail rows on stdout, not a numerical failure"),
     Contract("verify --check all --trunc 3", 1, None, "3 levels are too few for bch and translation: all 42 rows "
              "on stdout, those of bch and translation failing on finite residuals"),
+    Contract("verify --check gauss --seed 5", 0, None, "the Gauss factors come from one cached exp(J+) per size; "
+             "repeated runs are byte-identical", repeat=True),
+    Contract("verify --check gauss --tol 1e-20", 1, None, "the gauss gate can fail: all 20 residuals, 5.8e-17 and "
+             "up, are past --tol 1e-20, fail rows on stdout"),
     Contract("verify --check bch --alpha=3 --trunc 256", 0, None, "the largest BCH case the benchmark samples passes"),
     Contract("verify --check bch --alpha=3+1j --trunc 255", 0, None, "an odd truncation gives the displacement "
              "generator a rectangular even/odd block; its runs are byte-identical", repeat=True),

@@ -517,6 +517,7 @@ class TestVerifyCommand:
         argv = ["verify", "--check", "all", "--seed", "3"]
         fock._position_spectrum.cache_clear()
         spin._j1_spectrum.cache_clear()
+        spin._j_plus_exponential.cache_clear()
         assert main(argv) == 0
         cold = capsys.readouterr().out
         assert main(argv) == 0
@@ -561,6 +562,40 @@ class TestVerifyCommand:
         assert code == 1
         relations = payload["rows"][0]
         assert relations["params"] == "relations trunc=16" and relations["status"] == "fail"
+
+    # Seeded defects in the gauss check: each must fail at least one row (exit 1) against the unchanged
+    # 1e-9 threshold.  At the default seed every one of the 20 rows fails under either defect.
+    def _gauss_fail_rows(self, tmp_path):
+        code, payload = run_json(tmp_path, ["verify", "--check", "gauss"])
+        assert code == 1
+        return [row for row in payload["rows"] if row["status"] == "fail"]
+
+    # the middle level of J+ dropped before the cached exp(J+) is formed: residuals 6.5e-2 to 1.7e3
+    def test_gauss_fails_on_a_dropped_level(self, monkeypatch, tmp_path):
+        exponential = spin.matrix_exponential
+
+        def dropped(m):
+            m = np.array(m)
+            level = (m.shape[0] - 1) // 2
+            m[level + 1, level] = 0.0
+            return exponential(m)
+
+        monkeypatch.setattr(spin, "matrix_exponential", dropped)
+        spin._j_plus_exponential.cache_clear()
+        try:
+            assert self._gauss_fail_rows(tmp_path)
+        finally:
+            spin._j_plus_exponential.cache_clear()
+
+    # the rotation's phase sign flipped (gamma -> -gamma in rotation_matrix): residuals 1.8e-2 to 2.0
+    def test_gauss_fails_on_a_flipped_rotation_phase(self, monkeypatch, tmp_path):
+        rotation = spin.rotation_matrix
+
+        def flipped(rep, point):
+            return rotation(rep, spin.SpherePoint(point.theta, -point.gamma % (2.0 * math.pi)))
+
+        monkeypatch.setattr(spin, "rotation_matrix", flipped)
+        assert self._gauss_fail_rows(tmp_path)
 
 
 # per limit of cli._LIMITS: a small value set in its place, so that runs at it are cheap and exit 0, and the
