@@ -2,19 +2,13 @@
 """Convergence study for the plane-measure quadrature.
 
 Sweeps the radial node count and cutoff and reports the resolution-of-
-identity residual on the leading basis block together with the worst
-Gaussian-moment error.  Useful when picking n_r / cutoff for larger
-truncations than the defaults.
+identity residual on the leading basis block.  Useful when picking
+n_r / cutoff for larger truncations than the defaults.
 """
 
 import argparse
 
-from cohstat.inference import (
-    FockCoherentFamily,
-    plane_moment_residual,
-    plane_quadrature,
-    resolution_of_identity_check,
-)
+from cohstat.inference import FockCoherentFamily, plane_quadrature, resolution_of_identity_check
 
 
 def main():
@@ -26,13 +20,12 @@ def main():
     family = FockCoherentFamily(args.trunc)
     n_angle = 2 * args.trunc + 1
     print(f"trunc={args.trunc} block={args.block} n_angle={n_angle}")
-    print(f"{'cutoff':>8} {'n_r':>6} {'identity residual':>18} {'moment residual':>16}")
+    print(f"{'cutoff':>8} {'n_r':>6} {'identity residual':>18}")
     for cutoff in (6.0, 8.0, 10.0, 12.0):
         for n_r in (25, 50, 100, 200):
             rule = plane_quadrature((0.0, cutoff), n_r, n_angle)
             identity = resolution_of_identity_check(family, rule, n_basis=args.block)
-            moments = plane_moment_residual(rule, args.block)
-            print(f"{cutoff:8.1f} {n_r:6d} {identity:18.3e} {moments:16.3e}")
+            print(f"{cutoff:8.1f} {n_r:6d} {identity:18.3e}")
 
 
 if __name__ == "__main__":

@@ -16,7 +16,6 @@ from .fock import (
     bch_check,
     build_ladder,
     coherent_closed_form,
-    coherent_via_exponential,
     default_truncation,
     displacement_translation_check,
     poisson_pmf,
@@ -40,7 +39,6 @@ from .inference import (
 from .linops import (
     hermitian_eigendecomposition,
     matrix_exponential,
-    phase_aligned_distance,
 )
 from .pv_measure import (
     FinitePVMeasure,
@@ -60,7 +58,6 @@ from .spin import (
     so3_basis,
     sphere_point_for_probability,
     spin_coherent_closed_form,
-    spin_coherent_via_exponential,
 )
 
 __version__ = "0.1.0"

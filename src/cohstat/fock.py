@@ -5,13 +5,13 @@ the canonical commutation relation [A, A+] = I holds only below the top
 level; the top-level defect is a documented truncation artifact.
 ``FockSpace`` is the representation: like ``spin.SpinRep`` it carries only
 its size and builds its real ladder matrices when they are read.  Coherent
-states come from two routes that must agree: the closed-form expansion
-with coefficients e^{-|a|^2/2} a^k / sqrt(k!), and the displacement applied
-to the vacuum.  Its generator a*A+ - conj(a)*A equals -i|a| W S W*, with
-W = diag(e^{ik(arg a + pi/2)}) and the real tridiagonal S = A + A+, so
-displacements apply ``linops._phased_exponential`` to the eigenpairs of S
-(numpy's eigh), which depend only on the truncation and are kept, read-only,
-for the last two truncations used in the process.  Squared
+states come from the closed-form expansion with coefficients
+e^{-|a|^2/2} a^k / sqrt(k!).  The displacement's generator a*A+ - conj(a)*A
+equals -i|a| W S W*, with W = diag(e^{ik(arg a + pi/2)}) and the real
+tridiagonal S = A + A+, so the translation check's displacements apply
+``linops._phased_exponential`` to the eigenpairs of S (numpy's eigh), which
+depend only on the truncation and are kept, read-only, for the last two
+truncations used in the process.  Squared
 coefficients are the Poisson(|a|^2) weights, which come from Loader's
 saddle-point form of the pmf in numpy; the same kernel gives the binomial
 weights in ``spin``.
@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linops import _phased_exponential, _tridiagonal_spectrum, matrix_exponential, phase_aligned_distance
+from .linops import _phased_exponential, _tridiagonal_spectrum, matrix_exponential
 from .pv_measure import NonFiniteError, VectorState
 
 __all__ = [
@@ -38,7 +38,6 @@ __all__ = [
     "coherent_amplitudes",
     "coherent_closed_form",
     "coherent_magnitudes",
-    "coherent_via_exponential",
     "default_truncation",
     "displacement_translation_check",
     "poisson_pmf",
@@ -47,11 +46,6 @@ __all__ = [
 ]
 
 DEFAULT_TAIL_TOL = 1e-12
-# Largest phase-aligned distance allowed between the exponential and closed-form routes to a
-# coherent state (here and in ``spin``), and the tail mass the exponential route's closed form
-# may discard.
-_ROUTE_LIMIT = 1e-9
-_ROUTE_TAIL_TOL = 1e-10
 
 
 class TruncationError(RuntimeError):
@@ -285,25 +279,6 @@ def _vacuum(dim: int) -> np.ndarray:
     vec = np.zeros(dim, dtype=complex)
     vec[0] = 1.0
     return vec
-
-
-def coherent_via_exponential(alpha: complex, rep: FockSpace) -> CoherentStateWH:
-    """Coherent state from the displacement exponential applied to the vacuum.
-
-    Cross-validates against the closed form, built with tail tolerance
-    _ROUTE_TAIL_TOL: raises TruncationError when the two routes disagree
-    by more than _ROUTE_LIMIT up to a global phase.
-    """
-    alpha = complex(alpha)
-    closed = coherent_closed_form(alpha, rep, tail_tol=_ROUTE_TAIL_TOL)
-    vec = _displace(alpha, _vacuum(rep.dim))
-    distance = phase_aligned_distance(vec, closed.vector.vector)
-    if distance > _ROUTE_LIMIT:
-        raise TruncationError(
-            f"exponential route differs from the closed form by {distance:.3e} "
-            f"(limit {_ROUTE_LIMIT:.1e}); truncation {rep.dim} too small for |alpha|={abs(alpha):.3f}"
-        )
-    return CoherentStateWH(VectorState.from_unnormalized(vec), closed.tail_mass)
 
 
 def bch_check(alpha: complex, rep: FockSpace) -> float:

@@ -48,7 +48,6 @@ __all__ = [
     "infer_via_pov",
     "inferred_density_binomial",
     "inferred_density_poisson",
-    "plane_moment_residual",
     "plane_quadrature",
     "polar_window",
     "radial_window",
@@ -205,25 +204,6 @@ def sphere_quadrature(j) -> QuadratureRule:
         angle_nodes=gammas,
         angle_weights=gamma_weights,
     )
-
-
-def plane_moment_residual(rule: QuadratureRule, max_moment: int) -> float:
-    """Worst relative error of the Gaussian moments int e^{-r^2} (r^2)^m dmu = m!.
-
-    Build-time validation for plane rules: the moments up to ``max_moment``
-    must come out right for the resolution-of-identity and posterior
-    integrals over the first basis elements to be trustworthy.
-    """
-    if rule.kind != "plane":
-        raise ValueError("moment validation applies to plane rules")
-    r = rule.principal_nodes
-    total_angle = rule.angle_weights.sum()
-    worst = 0.0
-    for m in range(max_moment + 1):
-        quad = float(np.sum(rule.principal_weights * np.exp(-r * r) * r ** (2 * m))) * total_angle
-        exact = math.factorial(m)
-        worst = max(worst, abs(quad / exact - 1.0))
-    return worst
 
 
 def _amplitude_at(family, index: int, principal) -> np.ndarray:

@@ -1,23 +1,22 @@
 """Dense complex linear algebra kernel.
 
-Only what numpy does not give in one call lives here: a matrix
-exponential, a Hermitian eigendecomposition in descending order, and the
-distance between two vectors up to a global phase.  Adjoints, commutators
-and inner products are numpy expressions (``m.conj().T``, ``a @ b - b @ a``,
-``np.vdot``).  The exponential takes one of three exact routes, chosen from
-the structure of its input: a diagonal matrix (a truncated commutator)
-entry by entry, a single-band nilpotent matrix (the BCH check's ladder
-factors, and J+ once per spin size for the Gauss factors) by its
+Only what numpy does not give in one call lives here: a matrix exponential
+and a Hermitian eigendecomposition in descending order.  Adjoints,
+commutators and inner products are numpy expressions (``m.conj().T``,
+``a @ b - b @ a``, ``np.vdot``).  The exponential takes one of three exact
+routes, chosen from the structure of its input: a diagonal matrix (a truncated
+commutator) entry by entry, a single-band nilpotent matrix (the BCH check's
+ladder factors, and J+ once per spin size for the Gauss factors) by its
 terminating power series, and a zero-diagonal tridiagonal skew-Hermitian
 matrix (the BCH check's displacement generator) by dividing the phases out
-of its band and taking the real SVD of the half-size block that couples
-its even levels to its odd ones; it refuses every other matrix, and the
-package builds none.  The group actions themselves, a
-displacement of the plane and a rotation of the sphere, are both
-exp(i t W S W*) for unit phases W and a real symmetric tridiagonal S that
-depends only on the size; ``_phased_exponential`` applies one from the
-read-only eigenpairs of S that ``_tridiagonal_spectrum`` gives.  All
-functions are pure and operate on plain numpy arrays.
+of its band and taking the real SVD of the half-size block that couples its
+even levels to its odd ones; it refuses every other matrix, and the package
+builds none.  The group actions themselves, a displacement of the plane and
+a rotation of the sphere, are both exp(i t W S W*) for unit phases W and a
+real symmetric tridiagonal S that depends only on the size;
+``_phased_exponential`` applies one from the read-only eigenpairs of S that
+``_tridiagonal_spectrum`` gives.  All functions are pure and operate on
+plain numpy arrays.
 """
 
 from __future__ import annotations
@@ -27,7 +26,6 @@ import numpy as np
 __all__ = [
     "hermitian_eigendecomposition",
     "matrix_exponential",
-    "phase_aligned_distance",
 ]
 
 
@@ -36,13 +34,6 @@ def _as_complex_matrix(m) -> np.ndarray:
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
     return m
-
-
-def _as_complex_vector(v) -> np.ndarray:
-    v = np.asarray(v, dtype=complex)
-    if v.ndim != 1 or v.shape[0] < 1:
-        raise ValueError(f"expected a nonempty 1-d vector, got shape {v.shape}")
-    return v
 
 
 def _exp_subdiagonal(band: np.ndarray) -> np.ndarray:
@@ -172,21 +163,6 @@ def matrix_exponential(m) -> np.ndarray:
     if nonzeros == upper_nonzeros + lower_nonzeros and np.array_equal(upper, -lower.conj()):
         return _exp_bipartite(m)
     raise ValueError("no exact exponential route: not diagonal, single-band or zero-diagonal tridiagonal skew-Hermitian")
-
-
-def phase_aligned_distance(u, v) -> float:
-    """Norm of u - eps*v minimized over a unit-modulus scalar eps.
-
-    States are equivalence classes modulo a global phase, so vector
-    comparisons between two routes to the same state go through this.
-    """
-    u = _as_complex_vector(u)
-    v = _as_complex_vector(v)
-    if u.shape != v.shape:
-        raise ValueError(f"dimension mismatch: {u.shape[0]} vs {v.shape[0]}")
-    overlap = np.vdot(v, u)
-    eps = overlap / abs(overlap) if abs(overlap) > 0 else 1.0
-    return float(np.linalg.norm(u - eps * v))
 
 
 # Relative Hermiticity defect ||m - m*||_F / max(1, ||m||_F) a matrix may carry: constructed

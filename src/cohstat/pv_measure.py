@@ -43,8 +43,7 @@ class VectorState:
     """Unit vector representing a pure state.
 
     Two states are physically the same when they differ by a unit-modulus
-    scalar; comparisons between construction routes should therefore use
-    :func:`cohstat.linops.phase_aligned_distance`.
+    scalar, so two routes to one state agree only up to that global phase.
     """
 
     vector: np.ndarray

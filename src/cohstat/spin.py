@@ -3,10 +3,10 @@
 The 2j+1 dimensional representation is built from its ladder relations
 with the basis ordered m = -j..j (lowest weight first), so the reference
 vector phi_{-j} is the first column and k = j + m indexes outcomes 0..2j.
-Coherent states on the sphere come from a closed-form coefficient formula
-and from the rotation exponential applied to phi_{-j}.  The rotation's
-generator i theta (sin g J1 - cos g J2) equals i theta W J1 W*, with
-W = diag(e^{ik(pi/2 - g)}) and the real tridiagonal J1, so rotations apply
+Coherent states on the sphere come from a closed-form coefficient formula.
+The rotation's generator i theta (sin g J1 - cos g J2) equals
+i theta W J1 W*, with W = diag(e^{ik(pi/2 - g)}) and the real tridiagonal
+J1, so the Gauss check's rotations apply
 ``linops._phased_exponential`` to the eigenpairs of J1 (numpy's eigh), kept
 read-only per 2j, as is the real exp(J+) whose entries, times powers of z,
 are the Gauss check's triangular factors.  Squared coefficients are
@@ -23,8 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fock import _EXTENDED, _ROUTE_LIMIT, _bd0, _log_factorial_excess
-from .linops import _phased_exponential, _tridiagonal_spectrum, matrix_exponential, phase_aligned_distance
+from .fock import _EXTENDED, _bd0, _log_factorial_excess
+from .linops import _phased_exponential, _tridiagonal_spectrum, matrix_exponential
 from .pv_measure import VectorState
 
 __all__ = [
@@ -39,7 +39,6 @@ __all__ = [
     "so3_basis",
     "sphere_point_for_probability",
     "spin_coherent_closed_form",
-    "spin_coherent_via_exponential",
 ]
 
 _EXACT_BINOMIAL_LIMIT = 60
@@ -176,19 +175,6 @@ def rotation_matrix(rep: SpinRep, point: SpherePoint) -> np.ndarray:
     """
     phases = np.exp(1j * (0.5 * math.pi - point.gamma) * np.arange(rep.dim))
     return _phased_exponential(_j1_spectrum(rep.two_j), point.theta, phases, np.eye(rep.dim, dtype=complex))
-
-
-def spin_coherent_via_exponential(rep: SpinRep, point: SpherePoint) -> VectorState:
-    """Coherent state from the rotation exponential applied to phi_{-j}.
-
-    Raises RuntimeError when the result differs from the closed form by
-    more than ``fock._ROUTE_LIMIT`` up to a global phase.
-    """
-    vec = rotation_matrix(rep, point)[:, 0].copy()
-    distance = phase_aligned_distance(vec, spin_coherent_closed_form(rep, point).vector)
-    if distance > _ROUTE_LIMIT:
-        raise RuntimeError(f"exponential route differs from the closed form by {distance:.3e} (limit {_ROUTE_LIMIT:.1e})")
-    return VectorState.from_unnormalized(vec)
 
 
 @functools.lru_cache(maxsize=32)

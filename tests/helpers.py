@@ -17,3 +17,13 @@ def random_hermitian(rng: np.random.Generator, dim: int, scale: float = 1.0) -> 
 def random_unit_vector(rng: np.random.Generator, dim: int) -> np.ndarray:
     v = rng.normal(size=dim) + 1j * rng.normal(size=dim)
     return v / np.linalg.norm(v)
+
+
+def phase_aligned_distance(u, v) -> float:
+    """Norm of u - eps*v minimized over a unit-modulus scalar eps: two routes to one state agree up to a phase."""
+    u, v = np.asarray(u, dtype=complex), np.asarray(v, dtype=complex)
+    if u.shape != v.shape:
+        raise ValueError(f"dimension mismatch: {u.shape[0]} vs {v.shape[0]}")
+    overlap = np.vdot(v, u)
+    eps = overlap / abs(overlap) if abs(overlap) > 0 else 1.0
+    return float(np.linalg.norm(u - eps * v))

@@ -1,4 +1,5 @@
 import argparse
+import dataclasses
 import json
 import math
 import os
@@ -563,14 +564,15 @@ class TestVerifyCommand:
         relations = payload["rows"][0]
         assert relations["params"] == "relations trunc=16" and relations["status"] == "fail"
 
-    # Seeded defects in the gauss check: each must fail at least one row (exit 1) against the unchanged
-    # 1e-9 threshold.  At the default seed every one of the 20 rows fails under either defect.
-    def _gauss_fail_rows(self, tmp_path):
-        code, payload = run_json(tmp_path, ["verify", "--check", "gauss"])
+    # Seeded defects: each must fail at least one row of its check (exit 1) against the unchanged default
+    # threshold, at the default seed.  The residuals each defect produced are named beside it.
+    def _fail_rows(self, tmp_path, check):
+        code, payload = run_json(tmp_path, ["verify", "--check", check])
         assert code == 1
-        return [row for row in payload["rows"] if row["status"] == "fail"]
+        return [row["params"] for row in payload["rows"] if row["status"] == "fail"]
 
-    # the middle level of J+ dropped before the cached exp(J+) is formed: residuals 6.5e-2 to 1.7e3
+    # gauss, 1e-9: the middle level of J+ dropped before the cached exp(J+) is formed; all 20 rows fail,
+    # residuals 6.5e-2 to 1.7e3
     def test_gauss_fails_on_a_dropped_level(self, monkeypatch, tmp_path):
         exponential = spin.matrix_exponential
 
@@ -583,11 +585,12 @@ class TestVerifyCommand:
         monkeypatch.setattr(spin, "matrix_exponential", dropped)
         spin._j_plus_exponential.cache_clear()
         try:
-            assert self._gauss_fail_rows(tmp_path)
+            assert self._fail_rows(tmp_path, "gauss")
         finally:
             spin._j_plus_exponential.cache_clear()
 
-    # the rotation's phase sign flipped (gamma -> -gamma in rotation_matrix): residuals 1.8e-2 to 2.0
+    # gauss, 1e-9: the rotation's phase sign flipped (gamma -> -gamma in rotation_matrix); all 20 rows
+    # fail, residuals 1.8e-2 to 2.0
     def test_gauss_fails_on_a_flipped_rotation_phase(self, monkeypatch, tmp_path):
         rotation = spin.rotation_matrix
 
@@ -595,7 +598,68 @@ class TestVerifyCommand:
             return rotation(rep, spin.SpherePoint(point.theta, -point.gamma % (2.0 * math.pi)))
 
         monkeypatch.setattr(spin, "rotation_matrix", flipped)
-        assert self._gauss_fail_rows(tmp_path)
+        assert self._fail_rows(tmp_path, "gauss")
+
+    # translation, 1e-8: the sign of wh_multiply's twist flipped, so the expected phase is conjugated;
+    # all 10 rows fail, residuals 0.158 to 1.96
+    def test_translation_fails_on_a_flipped_twist(self, monkeypatch, tmp_path):
+        def flipped(g1, g2):
+            twist = (g1.alpha * g2.alpha.conjugate()).imag
+            return fock.WHGroupElement(s=g1.s + g2.s - twist, alpha=g1.alpha + g2.alpha)
+
+        monkeypatch.setattr(fock, "wh_multiply", flipped)
+        assert len(self._fail_rows(tmp_path, "translation")) == 10
+
+    # identity, 1e-12: 2j azimuthal nodes in the sphere rule in place of 4j + 1, so lag 2j aliases onto
+    # lag 0; the 4 spin rows fail, residuals 4.0e-3 (j=5) to 0.80 (j=1/2)
+    def test_identity_fails_on_too_few_sphere_angles(self, monkeypatch, tmp_path):
+        build = inference.sphere_quadrature
+
+        def aliased(j):
+            n = spin._as_two_j(j)
+            angles = 2.0 * math.pi * np.arange(n) / n
+            return dataclasses.replace(build(j), angle_nodes=angles, angle_weights=np.full(n, 2.0 * math.pi / n))
+
+        monkeypatch.setattr(inference, "sphere_quadrature", aliased)
+        assert self._fail_rows(tmp_path, "identity") == ["spin j=0.5", "spin j=1.0", "spin j=2.0", "spin j=5.0"]
+
+    # identity, 1e-8: 19 angle nodes in the plane rule, so the top lag 19 of the 20-element block
+    # aliases onto lag 0; the plane row fails, residual 3.2e-3
+    def test_identity_fails_on_too_few_plane_angles(self, monkeypatch, tmp_path):
+        build = inference.plane_quadrature
+        monkeypatch.setattr(inference, "plane_quadrature", lambda interval, n_r, n_angle: build(interval, n_r, 19))
+        failing = self._fail_rows(tmp_path, "identity")
+        assert len(failing) == 1 and failing[0].startswith("plane ")
+
+    # example12, 1e-14: 1e-13 moved along the first projector's diagonal, from its last entry to its
+    # first; the xi row fails (5.7e-14), and psi0, whose first and last levels weigh the same, passes
+    def test_example12_fails_on_a_projector_off_by_1e_13(self, monkeypatch, tmp_path):
+        build = cli.pv_from_observable
+
+        def shifted(matrix):
+            pv = build(matrix)
+            first = pv.projectors[0].copy()
+            first[0, 0] += 1e-13
+            first[-1, -1] -= 1e-13
+            return cohstat.FinitePVMeasure(pv.outcomes, (first, *pv.projectors[1:]))
+
+        monkeypatch.setattr(cli, "pv_from_observable", shifted)
+        failing = self._fail_rows(tmp_path, "example12")
+        assert len(failing) == 1 and failing[0].startswith("state=xi ")
+
+    # bch, 1e-10: the commutator's 1/2 dropped, exp([O1, O2]) in place of exp([O1, O2] / 2); its one
+    # row fails, residual 1.07
+    def test_bch_fails_on_a_dropped_half(self, monkeypatch, tmp_path):
+        exponential = fock.matrix_exponential
+
+        def doubled_diagonal(m):
+            m = np.asarray(m)
+            if np.count_nonzero(m) == np.count_nonzero(np.diagonal(m)):
+                m = 2.0 * m
+            return exponential(m)
+
+        monkeypatch.setattr(fock, "matrix_exponential", doubled_diagonal)
+        assert len(self._fail_rows(tmp_path, "bch")) == 1
 
 
 # per limit of cli._LIMITS: a small value set in its place, so that runs at it are cheap and exit 0, and the

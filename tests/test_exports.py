@@ -1,3 +1,4 @@
+import ast
 import importlib
 import importlib.util
 import sys
@@ -6,6 +7,7 @@ from pathlib import Path
 import pytest
 
 MODULES = ("fock", "spin", "pv_measure", "inference", "linops", "cli")
+ROOT = Path(__file__).resolve().parent.parent
 
 
 @pytest.mark.parametrize("name", MODULES)
@@ -20,7 +22,7 @@ def test_every_all_entry_resolves(name):
 def test_benchmark_bindings_resolve(monkeypatch):
     # the benchmark traces functions by name from outside the package: each (owner, attribute) of its
     # TRACED table must still name a function, and the exponential's module aliases must stay one object
-    path = Path(__file__).resolve().parent.parent / "bench" / "spans.py"
+    path = ROOT / "bench" / "spans.py"
     spec = importlib.util.spec_from_file_location("_bench_spans", path)
     spans = importlib.util.module_from_spec(spec)
     monkeypatch.setitem(sys.modules, spec.name, spans)  # its dataclasses look their module up there
@@ -34,3 +36,34 @@ def test_benchmark_bindings_resolve(monkeypatch):
     from cohstat import fock, linops, spin
 
     assert fock.matrix_exponential is spin.matrix_exponential is linops.matrix_exponential
+
+
+def _read_names(path) -> set[str]:
+    """Every name a file reads: its loaded identifiers and the attributes it looks up."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+    return names
+
+
+def test_every_export_has_a_reader():
+    # an exported name must be read by the package itself, an acceptance test, a script or the
+    # benchmark's TRACED table; a definition, an __all__ entry and the cohstat re-export are not reads
+    package = ROOT / "src" / "cohstat"
+    readers = [path for path in package.glob("*.py") if path.name != "__init__.py"]
+    readers += [ROOT / "tests" / "test_acceptance.py", *(ROOT / "scripts").glob("*.py")]
+    read = set().union(*map(_read_names, readers))
+    spans = ast.parse((ROOT / "bench" / "spans.py").read_text()).body
+    (traced,) = [node.value for node in spans if isinstance(node, ast.Assign) and ast.unparse(node.targets) == "TRACED"]
+    for _, owner_path, attribute in ast.literal_eval(traced):
+        read.update((owner_path.partition(":")[2], attribute))
+    unread = [
+        f"{name}.{export}"
+        for name in MODULES
+        for export in importlib.import_module(f"cohstat.{name}").__all__
+        if export not in read
+    ]
+    assert unread == []

@@ -22,7 +22,6 @@ from cohstat.inference import (
     infer_via_pov,
     inferred_density_binomial,
     inferred_density_poisson,
-    plane_moment_residual,
     plane_quadrature,
     polar_window,
     radial_window,
@@ -84,8 +83,12 @@ class TestPlaneQuadrature:
         assert rule.principal_weights @ np.exp(-r * r) * rule.angle_weights.sum() == pytest.approx(1.0, abs=1e-13)
 
     def test_gaussian_moments(self):
+        # int e^{-r^2} (r^2)^m dmu = m! for m = 0..20
         rule = plane_quadrature((0.0, 12.0), 200, 8)
-        assert plane_moment_residual(rule, 20) < 1e-10
+        r = rule.principal_nodes
+        for m in range(21):
+            quad = rule.principal_weights @ (np.exp(-r * r) * r ** (2 * m)) * rule.angle_weights.sum()
+            assert abs(quad / math.factorial(m) - 1.0) < 1e-10
 
     def test_rejects_bad_arguments(self):
         for interval in ((0.0, 0.0), (2.0, 1.0), (-1.0, 1.0)):

@@ -9,10 +9,10 @@ from hypothesis import strategies as st
 
 from cohstat import fock, spin
 from cohstat.fock import build_ladder
-from cohstat.linops import hermitian_eigendecomposition, matrix_exponential, phase_aligned_distance
+from cohstat.linops import hermitian_eigendecomposition, matrix_exponential
 from cohstat.spin import so3_basis
 
-from helpers import random_complex_matrix, random_hermitian, random_unit_vector
+from helpers import phase_aligned_distance, random_complex_matrix, random_hermitian, random_unit_vector
 
 
 class TestAdjoint:
@@ -216,7 +216,6 @@ class TestExponentialRoutes:
         for expected in (["band"], []):
             with _recorded_exponentials(spin) as routes:
                 spin.rotation_matrix(rep, point)
-                spin.spin_coherent_via_exponential(rep, point)
                 spin.gauss_decomposition_check(rep, point)
             assert routes == expected
 

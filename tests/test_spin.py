@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cohstat import spin
-from cohstat.linops import matrix_exponential, phase_aligned_distance
+from cohstat.linops import matrix_exponential
 from cohstat.spin import (
     SpherePoint,
     binomial_pmf,
@@ -19,8 +19,9 @@ from cohstat.spin import (
     so3_basis,
     sphere_point_for_probability,
     spin_coherent_closed_form,
-    spin_coherent_via_exponential,
 )
+
+from helpers import phase_aligned_distance
 
 half_integers = st.integers(0, 50).map(lambda two_j: two_j / 2.0)
 sphere_points = st.builds(
@@ -229,30 +230,27 @@ class TestSpinCoherentClosedForm:
 
 
 class TestSpinCoherentViaExponential:
+    """The second route to a spin coherent state: the rotation applied to phi_{-j}, its first column."""
+
     def test_north_pole(self):
-        rep = build_spin_rep(1.5)
-        state = spin_coherent_via_exponential(rep, SpherePoint(0.0, 0.0))
-        assert np.abs(state.vector - basis_vector(4, 0)).max() < 1e-14
+        column = rotation_matrix(build_spin_rep(1.5), SpherePoint(0.0, 0.0))[:, 0]
+        assert np.abs(column - basis_vector(4, 0)).max() < 1e-14
 
     @pytest.mark.parametrize("j", [0.5, 1.0, 5.0, 12.5, 25.0])
     def test_matches_closed_form(self, j):
         rep = build_spin_rep(j)
         point = SpherePoint(1.1, 2.3)
-        via_exp = spin_coherent_via_exponential(rep, point)
         closed = spin_coherent_closed_form(rep, point)
-        assert phase_aligned_distance(via_exp.vector, closed.vector) < 1e-10
+        assert phase_aligned_distance(rotation_matrix(rep, point)[:, 0], closed.vector) < 1e-10
 
     def test_spin_half_matches_defining_representation(self):
         # 2x2 oracle: exp((i theta/2)(sin g M1 - cos g M2)) acting on the
         # lowest weight column; the defining basis orders weights highest
         # first, so the closed form is its second column reversed
         point = SpherePoint(0.9, 1.4)
-        rep = build_spin_rep(0.5)
-        state = spin_coherent_via_exponential(rep, point)
         half, g = point.theta / 2.0, point.gamma
         oracle = np.array([math.cos(half), -math.sin(half) * np.exp(-1j * g)])
-        assert phase_aligned_distance(state.vector, oracle) < 1e-13
-        assert np.abs(rotation_matrix(rep, point)[:, 0] - oracle).max() < 1e-13
+        assert np.abs(rotation_matrix(build_spin_rep(0.5), point)[:, 0] - oracle).max() < 1e-13
 
 
 class TestGaussDecomposition:
