@@ -321,11 +321,17 @@ def _verify_row(params: str, residual: float, threshold: float) -> dict:
 
 def _check_example12(config: RunConfig) -> list[dict]:
     pv = pv_from_observable(np.diag([1.0, 0.0, -1.0]))
+    rng = np.random.default_rng(config.seed)
+    beta, theta = rng.uniform(0.0, 2.0 * math.pi), rng.uniform(0.1, 1.2)
+    one_trial = np.array([math.cos(theta / 2.0) ** 2, math.sin(theta / 2.0) ** 2])
     rows = []
     cases = {
         "xi": (VectorState.from_unnormalized([1.0, 2.0, 3.0j]), np.array([1, 4, 9]) / 14.0),
         # (-i, sqrt 2, i) / 2, the family's state at beta = theta = pi/2
         "psi0": (example_family_states(math.pi / 2.0, math.pi / 2.0), np.array([1, 2, 1]) / 4.0),
+        # seeded; unlike psi0's, its first and last levels differ in weight (by cos(theta)), so a skewed projector shows
+        f"family beta={beta:.4f} theta={theta:.4f}":
+            (example_family_states(beta, theta), np.convolve(one_trial, one_trial)),  # the two-trial binomial law
     }
     for name, (state, exact) in cases.items():
         probs = born_probabilities(state, pv)

@@ -10,8 +10,8 @@ does not depend on the angle, so the angle integrates out exactly: the
 plane measure (1/pi) r dr dangle is (1/2pi) dlambda dangle, and the sphere
 measure is (2j+1) dp dgamma / 2pi, with lambda = r^2 and p = sin^2(theta/2).
 Each family states its posterior once on that canonical parameter: its
-name, its density m_obs(principal(x))^2 times that constant, the window
-that holds its mass and its default grid, the one ``infer`` tabulates on:
+density m_obs(principal(x))^2 times that constant, the window that holds
+its mass and its default grid, the one ``infer`` tabulates on:
 uniform on the Gamma mean n+1 +- 10 sqrt(n+1), clipped at 0, its top at
 least 20, or on [0, 1] for p.  The window of a count n is
 ``radial_window(n)`` squared, that of k in n trials ``polar_window(n, k)``
@@ -222,7 +222,6 @@ class FockCoherentFamily:
     dim: int
 
     kind = "plane"
-    parameter = "lambda"
     mass_tol = _PLANE_MASS_TOL
 
     def __post_init__(self):
@@ -261,7 +260,6 @@ class SpinCoherentFamily:
     rep: SpinRep
 
     kind = "sphere"
-    parameter = "p"
     mass_tol = _SPHERE_MASS_TOL
 
     @property
@@ -325,13 +323,13 @@ class InferredDistribution:
 
     ``total_mass`` is the Gauss-Legendre mass of the density on the
     family's window around its peak, not the trapezoid mass of the grid.
+    The record does not gate it: ``infer_via_pov`` does, at the family's
+    ``mass_tol``, and the analytic posteriors at ``_ANALYTIC_MASS_TOL``.
     """
 
-    parameter: str
     grid: np.ndarray
     density: np.ndarray
     total_mass: float
-    source: str
 
     def __post_init__(self):
         grid = np.asarray(self.grid, dtype=float)
@@ -339,16 +337,11 @@ class InferredDistribution:
         if grid.ndim != 1 or grid.shape != density.shape:
             raise ValueError("grid and density must be matching 1-d arrays")
         if not (np.isfinite(grid).all() and np.isfinite(density).all() and math.isfinite(self.total_mass)):
-            raise NonFiniteError(f"{self.source} {self.parameter} distribution has non-finite grid, density or mass")
+            raise NonFiniteError("distribution has non-finite grid, density or mass")
         if (np.diff(grid) <= 0).any():
             raise ValueError("grid must be strictly increasing")
         if (density < 0).any():
             raise ValueError("density must be nonnegative")
-        if self.source not in ("analytic", "pov-quadrature"):
-            raise ValueError(f"unknown source {self.source!r}")
-        mass_tol = _ANALYTIC_MASS_TOL if self.source == "analytic" else _PLANE_MASS_TOL
-        if not abs(self.total_mass - 1.0) <= mass_tol:
-            raise ResolutionError(f"total mass {self.total_mass!r} deviates from 1 beyond {mass_tol:.1e}")
         object.__setattr__(self, "grid", grid)
         object.__setattr__(self, "density", density)
 
@@ -413,18 +406,24 @@ def _tabulate(
     return grid, density(grid), _gauss_legendre_mass(density, *family.window(observed))
 
 
+def _analytic_posterior(family, observed: int, density, grid) -> InferredDistribution:
+    """``density`` tabulated by ``_tabulate``; raises ResolutionError when its mass misses 1 beyond 1e-10."""
+    dist = InferredDistribution(*_tabulate(family, observed, density, grid))
+    if not abs(dist.total_mass - 1.0) <= _ANALYTIC_MASS_TOL:
+        raise ResolutionError(f"total mass {dist.total_mass!r} deviates from 1 beyond {_ANALYTIC_MASS_TOL:.1e}")
+    return dist
+
+
 def analytic_poisson_posterior(n: int, grid: np.ndarray | None = None) -> InferredDistribution:
     """Gamma(n+1, 1) posterior tabulated on the rate grid."""
-    family = FockCoherentFamily(n + 1)
     density = functools.partial(inferred_density_poisson, n)
-    return InferredDistribution(family.parameter, *_tabulate(family, n, density, grid), "analytic")
+    return _analytic_posterior(FockCoherentFamily(n + 1), n, density, grid)
 
 
 def analytic_binomial_posterior(n: int, k: int, grid: np.ndarray | None = None) -> InferredDistribution:
     """Beta(k+1, n-k+1) posterior tabulated on the success-probability grid."""
-    family = SpinCoherentFamily(SpinRep(two_j=n))
     density = functools.partial(inferred_density_binomial, n, k)
-    return InferredDistribution(family.parameter, *_tabulate(family, k, density, grid), "analytic")
+    return _analytic_posterior(SpinCoherentFamily(SpinRep(two_j=n)), k, density, grid)
 
 
 def infer_via_pov(
@@ -450,7 +449,7 @@ def infer_via_pov(
         if total_mass == 0.0:
             cause = "every magnitude on the window underflowed"
         raise ResolutionError(f"quadrature mass {total_mass!r} deviates from 1 beyond {family.mass_tol:.1e}; {cause}")
-    return InferredDistribution(family.parameter, grid, density, total_mass, "pov-quadrature")
+    return InferredDistribution(grid, density, total_mass)
 
 
 def credible_interval(dist: InferredDistribution, mass: float) -> tuple[float, float]:

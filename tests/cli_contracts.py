@@ -46,7 +46,7 @@ CONTRACTS = (
              "translation residual: at 32 levels the residuals reach 2.1e-8, below 1e-7"),
     Contract("verify --check translation --trunc 32", 1, None, "two of the 32-level residuals are past the 1e-8 "
              "default: fail rows on stdout, not a numerical failure"),
-    Contract("verify --check all --trunc 3", 1, None, "3 levels are too few for bch and translation: all 42 rows "
+    Contract("verify --check all --trunc 3", 1, None, "3 levels are too few for bch and translation: all 43 rows "
              "on stdout, those of bch and translation failing on finite residuals"),
     Contract("verify --check gauss --seed 5", 0, None, "the Gauss factors come from one cached exp(J+) per size; "
              "repeated runs are byte-identical", repeat=True),

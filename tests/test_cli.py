@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 from scipy.stats import beta, gamma
 
 import cohstat
-from cohstat import cli, fock, inference, spin
+from cohstat import cli, fock, inference, pv_measure, spin
 from cohstat.cli import ConfigError, RunConfig, load_config, main
 
 
@@ -477,7 +477,7 @@ class TestVerifyCommand:
     # not a numerical failure, beside every other row of the run
     @pytest.mark.parametrize(
         "check, n_rows, failing",
-        [("translation", 10, {"translation"}), ("all", 42, {"bch", "translation"})],
+        [("translation", 10, {"translation"}), ("all", 43, {"bch", "translation"})],
         ids=["translation", "all"],
     )
     def test_under_truncated_translation_is_a_finite_fail_row(self, tmp_path, check, n_rows, failing):
@@ -632,7 +632,9 @@ class TestVerifyCommand:
         assert len(failing) == 1 and failing[0].startswith("plane ")
 
     # example12, 1e-14: 1e-13 moved along the first projector's diagonal, from its last entry to its
-    # first; the xi row fails (5.7e-14), and psi0, whose first and last levels weigh the same, passes
+    # first; the xi row fails (5.7e-14) and so does the seeded family row (3.6e-14 to 1.0e-13 over seeds
+    # 0-199), whose first and last levels differ in weight by cos(theta); psi0, whose first and last levels
+    # weigh the same, passes
     def test_example12_fails_on_a_projector_off_by_1e_13(self, monkeypatch, tmp_path):
         build = cli.pv_from_observable
 
@@ -641,11 +643,11 @@ class TestVerifyCommand:
             first = pv.projectors[0].copy()
             first[0, 0] += 1e-13
             first[-1, -1] -= 1e-13
-            return cohstat.FinitePVMeasure(pv.outcomes, (first, *pv.projectors[1:]))
+            return pv_measure.FinitePVMeasure(pv.outcomes, (first, *pv.projectors[1:]))
 
         monkeypatch.setattr(cli, "pv_from_observable", shifted)
         failing = self._fail_rows(tmp_path, "example12")
-        assert len(failing) == 1 and failing[0].startswith("state=xi ")
+        assert len(failing) == 2 and failing[0].startswith("state=xi ") and failing[1].startswith("state=family ")
 
     # bch, 1e-10: the commutator's 1/2 dropped, exp([O1, O2]) in place of exp([O1, O2] / 2); its one
     # row fails, residual 1.07

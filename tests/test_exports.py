@@ -2,6 +2,7 @@ import ast
 import importlib
 import importlib.util
 import sys
+import types
 from pathlib import Path
 
 import pytest
@@ -17,6 +18,18 @@ def test_every_all_entry_resolves(name):
     namespace = {}
     exec(f"from cohstat.{name} import *", namespace)
     assert sorted(module.__all__) == sorted(key for key in namespace if key != "__builtins__")
+
+
+def test_package_binds_only_its_version():
+    # one import path per name, `from cohstat.<module> import name`: the package re-exports nothing,
+    # so besides __version__ it binds only the submodules imported so far
+    package = importlib.import_module("cohstat")
+    for name in MODULES:
+        importlib.import_module(f"cohstat.{name}")
+    public = {name: value for name, value in vars(package).items() if not name.startswith("_")}
+    assert isinstance(package.__version__, str)
+    assert {name for name, value in public.items() if not isinstance(value, types.ModuleType)} == set()
+    assert all(value.__name__ == f"cohstat.{name}" for name, value in public.items())
 
 
 def test_benchmark_bindings_resolve(monkeypatch):
@@ -51,9 +64,8 @@ def _read_names(path) -> set[str]:
 
 def test_every_export_has_a_reader():
     # an exported name must be read by the package itself, an acceptance test, a script or the
-    # benchmark's TRACED table; a definition, an __all__ entry and the cohstat re-export are not reads
-    package = ROOT / "src" / "cohstat"
-    readers = [path for path in package.glob("*.py") if path.name != "__init__.py"]
+    # benchmark's TRACED table; a definition and an __all__ entry are not reads
+    readers = list((ROOT / "src" / "cohstat").glob("*.py"))
     readers += [ROOT / "tests" / "test_acceptance.py", *(ROOT / "scripts").glob("*.py")]
     read = set().union(*map(_read_names, readers))
     spans = ast.parse((ROOT / "bench" / "spans.py").read_text()).body

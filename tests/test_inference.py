@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.stats import beta
 
-from cohstat import fock, spin
+from cohstat import cli, fock, inference, spin
 from cohstat.fock import poisson_pmf
 from cohstat.inference import (
     FockCoherentFamily,
@@ -413,25 +413,11 @@ class TestPolarWindow:
 class TestInferredDistributionValidation:
     def test_rejects_negative_density(self):
         with pytest.raises(ValueError, match="nonnegative"):
-            InferredDistribution("p", np.array([0.0, 1.0]), np.array([1.0, -0.1]), 1.0, "analytic")
+            InferredDistribution(np.array([0.0, 1.0]), np.array([1.0, -0.1]), 1.0)
 
     def test_rejects_non_increasing_grid(self):
         with pytest.raises(ValueError, match="strictly increasing"):
-            InferredDistribution("p", np.array([0.0, 0.0]), np.array([1.0, 1.0]), 1.0, "analytic")
-
-    def test_rejects_wrong_mass(self):
-        with pytest.raises(ValueError, match="total mass"):
-            InferredDistribution("p", np.array([0.0, 1.0]), np.array([1.0, 1.0]), 0.9, "analytic")
-
-    def test_wrong_mass_is_a_resolution_error(self):
-        # a mass that misses 1 is a numerical failure (CLI exit 1), not a bad argument
-        for source in ("analytic", "pov-quadrature"):
-            with pytest.raises(ResolutionError, match="total mass"):
-                InferredDistribution("p", np.array([0.0, 1.0]), np.array([1.0, 1.0]), 0.9, source)
-
-    def test_rejects_unknown_source(self):
-        with pytest.raises(ValueError, match="source"):
-            InferredDistribution("p", np.array([0.0, 1.0]), np.array([1.0, 1.0]), 1.0, "guesswork")
+            InferredDistribution(np.array([0.0, 0.0]), np.array([1.0, 1.0]), 1.0)
 
     @pytest.mark.parametrize(
         "grid, density, mass",
@@ -444,9 +430,8 @@ class TestInferredDistributionValidation:
         ],
     )
     def test_rejects_non_finite_values(self, grid, density, mass):
-        for source in ("analytic", "pov-quadrature"):
-            with pytest.raises(NonFiniteError, match="non-finite"):
-                InferredDistribution("p", np.array(grid), np.array(density), mass, source)
+        with pytest.raises(NonFiniteError, match="non-finite"):
+            InferredDistribution(np.array(grid), np.array(density), mass)
 
     def test_pov_route_reports_overflowed_amplitudes(self):
         # sqrt C(3000, 700) overflows, so the joint density holds inf * 0 = NaN
@@ -454,6 +439,46 @@ class TestInferredDistributionValidation:
         with pytest.raises(NonFiniteError, match="non-finite quadrature mass"):
             with np.errstate(over="ignore", invalid="ignore"):
                 infer_via_pov(700, SpinCoherentFamily(rep))
+
+
+class TestMassGates:
+    """Each route gates its posterior's mass once, and the record does not: ``infer_via_pov`` at the
+    family's ``mass_tol``, the analytic posteriors at 1e-10; past its gate ``infer`` exits 1."""
+
+    @staticmethod
+    def _scale(monkeypatch, owner, name, factor):
+        density = getattr(owner, name)
+        monkeypatch.setattr(owner, name, lambda *args: factor * density(*args))
+
+    @staticmethod
+    def _failure(capsys, argv):
+        assert cli.main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.count("\n") == 1
+        return captured.err
+
+    def test_sphere_pov_mass_is_gated_at_1e_10(self, monkeypatch, capsys):
+        self._scale(monkeypatch, SpinCoherentFamily, "density", 1.0 + 1e-9)
+        err = self._failure(capsys, ["infer", "binomial", "--n", "20", "--k", "5"])
+        assert err.startswith("numerical failure: quadrature mass ") and " beyond 1.0e-10; " in err
+
+    def test_plane_pov_mass_is_gated_at_1e_6(self, monkeypatch, capsys):
+        self._scale(monkeypatch, FockCoherentFamily, "density", 1.0 + 1e-5)
+        err = self._failure(capsys, ["infer", "poisson", "--observed", "200"])
+        assert err.startswith("numerical failure: quadrature mass ") and " beyond 1.0e-06; " in err
+
+    @pytest.mark.parametrize(
+        "name, argv",
+        [
+            ("inferred_density_poisson", ["infer", "poisson", "--observed", "200"]),
+            ("inferred_density_binomial", ["infer", "binomial", "--n", "20", "--k", "5"]),
+        ],
+        ids=["gamma", "beta"],
+    )
+    def test_analytic_mass_is_gated_at_1e_10(self, monkeypatch, capsys, name, argv):
+        self._scale(monkeypatch, inference, name, 1.0 + 1e-9)
+        err = self._failure(capsys, argv)
+        assert err.startswith("numerical failure: total mass ") and err.endswith(" deviates from 1 beyond 1.0e-10\n")
 
 
 def brute_force_interval(dist, mass):
@@ -525,7 +550,7 @@ def interval_cases(draw):
     segments = 0.5 * (density[1:] + density[:-1]) * np.diff(grid)
     if segments.sum() > 0.0:
         density = density / segments.sum()
-    dist = InferredDistribution("p", grid, density, 1.0, "pov-quadrature")
+    dist = InferredDistribution(grid, density, 1.0)
     return dist, float(np.cumsum(0.5 * (dist.density[1:] + dist.density[:-1]) * np.diff(dist.grid))[-1])
 
 
@@ -561,7 +586,7 @@ class TestCredibleInterval:
     )
     def test_flat_density_rounding_matches_numpy_scalar_scan(self, span, points, mass):
         grid = np.linspace(0.0, span, points)
-        dist = InferredDistribution("p", grid, np.full(points, 1.0 / span), 1.0, "pov-quadrature")
+        dist = InferredDistribution(grid, np.full(points, 1.0 / span), 1.0)
         assert credible_interval(dist, mass) == numpy_scalar_interval(dist, mass)
 
     @settings(max_examples=300, derandomize=True, deadline=None)
@@ -601,14 +626,14 @@ class TestCredibleInterval:
     def test_rejects_unreachable_mass(self):
         grid = np.linspace(0.0, 0.2, 50)
         density = inferred_density_binomial(2, 2, grid)
-        dist = InferredDistribution("p", grid, density, 1.0, "pov-quadrature")
+        dist = InferredDistribution(grid, density, 1.0)
         with pytest.raises(ValueError, match="cannot cover"):
             credible_interval(dist, 0.5)
 
     def test_unreachable_mass_is_reported_as_a_plain_float(self):
         grid = np.linspace(0.0, 0.2, 50)
         density = inferred_density_binomial(2, 2, grid)
-        dist = InferredDistribution("p", grid, density, 1.0, "pov-quadrature")
+        dist = InferredDistribution(grid, density, 1.0)
         supported = float(np.cumsum(0.5 * (density[1:] + density[:-1]) * np.diff(grid))[-1])
         with pytest.raises(ResolutionError) as raised:
             credible_interval(dist, 0.5)
