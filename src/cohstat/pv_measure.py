@@ -38,6 +38,12 @@ class NonFiniteError(ValueError):
     """A computed state or distribution holds NaN or infinite values."""
 
 
+def _norm(vec: np.ndarray) -> float:
+    """Euclidean norm of a complex vector, sqrt(re.re + im.im) as ``np.linalg.norm`` takes it, but each dot a
+    numpy pairwise sum, not a BLAS dot that OpenBLAS splits across threads: the same bits at any thread count."""
+    return math.sqrt(float(np.sum(np.square(vec.real)) + np.sum(np.square(vec.imag))))
+
+
 @dataclass(frozen=True)
 class VectorState:
     """Unit vector representing a pure state.
@@ -54,7 +60,7 @@ class VectorState:
             raise ValueError(f"state must be a nonempty vector, got shape {vec.shape}")
         if not np.isfinite(vec).all():
             raise NonFiniteError("state has non-finite entries")
-        norm = float(np.linalg.norm(vec))
+        norm = _norm(vec)
         if abs(norm - 1.0) > _UNIT_NORM_TOL:
             raise ValueError(f"state is not unit norm (norm {norm!r})")
         object.__setattr__(self, "vector", vec)
@@ -66,7 +72,7 @@ class VectorState:
     @classmethod
     def from_unnormalized(cls, vec) -> "VectorState":
         vec = np.asarray(vec, dtype=complex)
-        norm = float(np.linalg.norm(vec))
+        norm = _norm(vec)
         if norm == 0.0:
             raise ValueError("cannot normalize the zero vector")
         return cls(vec / norm)

@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.stats import beta, gamma
 
@@ -179,22 +179,35 @@ class TestFamilyCommand:
         assert "error" in capsys.readouterr().err
 
     def test_million_row_poisson_table_is_built(self):
-        # 1,012,001 rows in about 505 MB, a quarter of the row limit
-        assert main(["family", "poisson", "--lambda", "1e6", "--out", os.devnull]) == 0
+        # 1,012,001 outcomes of which 14,069 rows carry mass: 155 MB and 1.2 s in a fresh process (one
+        # BLAS thread), where writing every outcome took 505 MB; ru_maxrss is in kilobytes on Linux
+        code = (
+            "import os, resource\n"
+            "from cohstat.cli import main\n"
+            "assert main(['family', 'poisson', '--lambda', '1e6', '--out', os.devnull]) == 0\n"
+            "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(cohstat.__file__).parent.parent))
+        result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+        assert int(result.stdout) < 256 * 1024
 
     # 2.0: sqrt(2)**2 != 2, so the rows must use the rate poisson_pmf sees, not lambda itself
     @pytest.mark.parametrize("lam", [0.0, 0.01, 1.0, 2.0, 1000.0, 10000.0])
     def test_poisson_rows_match_per_row_pmf_loop(self, tmp_path, lam):
-        # oracle: one fock.poisson_pmf call per row, stopping once the cumulative pmf reaches 1 - 1e-12
+        # oracle: one fock.poisson_pmf call per row, the rows starting once the cumulative pmf reaches
+        # 1e-12 and stopping once it reaches 1 - 1e-12
         alpha = math.sqrt(lam)
         trunc = fock.default_truncation(alpha)
         probs = np.abs(fock.coherent_closed_form(alpha, fock.FockSpace(trunc)).vector.vector) ** 2
-        expected, cumulative, max_diff = [], 0.0, 0.0
+        expected, cumulative, lower_mass, max_diff = [], 0.0, 0.0, 0.0
         for n in range(trunc):
             pmf = fock.poisson_pmf(alpha, n)
+            cumulative += pmf
+            if cumulative < 1e-12:
+                lower_mass = cumulative
+                continue
             expected.append({"outcome": n, "probability": float(probs[n]), "pmf": pmf})
             max_diff = max(max_diff, abs(probs[n] - pmf))
-            cumulative += pmf
             if cumulative >= 1.0 - 1e-12:
                 break
         code, payload = run_json(tmp_path, ["family", "poisson", "--lambda", repr(lam)])
@@ -202,6 +215,7 @@ class TestFamilyCommand:
         assert len(payload["rows"]) == len(expected)
         assert payload["rows"] == expected
         assert payload["footer"]["max_abs_diff"] == float(max_diff)
+        assert payload["footer"]["lower_mass"] == lower_mass
 
     def test_binomial_column_matches_per_row_pmf(self, tmp_path):
         for n, p in [(0, 0.3), (1, 0.5), (20, 0.3), (60, 0.9), (61, 0.07), (300, 0.41)]:
@@ -209,9 +223,84 @@ class TestFamilyCommand:
             assert code == 0
             rep = spin.build_spin_rep(n / 2.0)
             point = spin.sphere_point_for_probability(p)
-            assert [row["pmf"] for row in payload["rows"]] == [
-                spin.binomial_pmf(rep, point, k - rep.j) for k in range(n + 1)
-            ]
+            # oracle: one spin.binomial_pmf call per outcome, under the row rule of the Poisson loop above
+            expected, cumulative, lower_mass = [], 0.0, 0.0
+            for k in range(n + 1):
+                pmf = spin.binomial_pmf(rep, point, k - rep.j)
+                cumulative += pmf
+                if cumulative < 1e-12:
+                    lower_mass = cumulative
+                    continue
+                expected.append((k, pmf))
+                if cumulative >= 1.0 - 1e-12:
+                    break
+            assert [(row["outcome"], row["pmf"]) for row in payload["rows"]] == expected
+            assert payload["footer"]["lower_mass"] == lower_mass
+
+    def test_a_truncation_below_the_mass_keeps_one_row(self, tmp_path):
+        # with tail_tol 1, 5 levels hold 1.6e-37 of the Poisson(100) mass, never 1e-12 of it: the last level is the row
+        config = tmp_path / "config.json"
+        config.write_text('{"tail_tol": 1.0}')
+        argv = ["family", "poisson", "--lambda", "100", "--trunc", "5", "--config", str(config)]
+        code, payload = run_json(tmp_path, argv)
+        assert code == 0
+        assert [row["outcome"] for row in payload["rows"]] == [4]
+        assert 0.0 < payload["footer"]["lower_mass"] < 1e-38
+
+    @staticmethod
+    def _assert_rows_carry_the_mass(payload, probabilities, pmf):
+        """The rows are the contiguous slice of the full table from the first outcome whose cumulative
+        pmf reaches 1e-12 to the first whose cumulative pmf reaches 1 - 1e-12, one row at least."""
+        rows, lower_mass = payload["rows"], payload["footer"]["lower_mass"]
+        first, size = rows["outcome"][0], len(rows["outcome"])
+        assert size >= 1
+        assert rows["outcome"] == list(range(first, first + size))
+        assert lower_mass < 1e-12 <= lower_mass + rows["pmf"][0]
+        assert lower_mass == (float(np.cumsum(pmf)[first - 1]) if first else 0.0)
+        assert rows["probability"] == probabilities[first:first + size].tolist()
+        assert rows["pmf"] == pmf[first:first + size].tolist()
+        reached = np.cumsum(pmf[:first + size]) >= 1.0 - 1e-12
+        assert not reached[:-1].any() and (reached[-1] or first + size == pmf.size)
+
+    # rates log-uniform over [1e-3, 1e6], so that most examples are cheap, and both ends of [0, 1e6]
+    @settings(max_examples=20, deadline=None)
+    @example(0.0)
+    @example(1e6)
+    @given(st.floats(-3.0, 6.0).map(lambda e: 10.0**e))
+    def test_poisson_rows_are_the_outcomes_that_carry_mass(self, lam):
+        payload = cli._family_poisson(RunConfig(), lam)
+        alpha = math.sqrt(lam)
+        trunc = fock.default_truncation(alpha)
+        probabilities = np.abs(fock.coherent_closed_form(alpha, fock.FockSpace(trunc)).vector.vector) ** 2
+        self._assert_rows_carry_the_mass(payload, probabilities, fock._poisson_weight(alpha**2, np.arange(trunc)))
+
+    @settings(max_examples=50, deadline=None)
+    @example(0, 0.3)
+    @example(2000, 0.0)
+    @given(st.integers(0, 2000), st.floats(0.0, 1.0, exclude_max=True))
+    def test_binomial_rows_are_the_outcomes_that_carry_mass(self, n, p):
+        payload = cli._family_binomial(RunConfig(), n, p)
+        point = spin.sphere_point_for_probability(p)
+        probabilities = np.abs(spin.spin_coherent_closed_form(spin.SpinRep(two_j=n), point).vector) ** 2
+        pmf = spin._binomial_weight(n, np.arange(n + 1), math.sin(point.theta / 2.0) ** 2)
+        self._assert_rows_carry_the_mass(payload, probabilities, pmf)
+
+    # The state's norm is numpy's pairwise sum, not a threaded BLAS dot: at these rates the norm by
+    # np.linalg.norm, and so every probability, differed in the last place between one and two threads
+    @pytest.mark.parametrize("lam", ["2e4", "1e5"])
+    def test_poisson_bytes_do_not_depend_on_blas_threads(self, lam):
+        outputs = set()
+        for threads in ("1", "2"):
+            env = dict(
+                os.environ,
+                PYTHONPATH=str(Path(cohstat.__file__).parent.parent),
+                OPENBLAS_NUM_THREADS=threads,
+                OMP_NUM_THREADS=threads,
+                MKL_NUM_THREADS=threads,
+            )
+            argv = [sys.executable, "-m", "cohstat", "family", "poisson", "--lambda", lam]
+            outputs.add(subprocess.run(argv, env=env, capture_output=True, check=True).stdout)
+        assert len(outputs) == 1
 
 
 class TestInferCommand:

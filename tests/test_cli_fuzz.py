@@ -5,7 +5,7 @@ as 2), no exception may escape, and what reaches stdout must hold no
 non-finite number.  Draws stay clear of sizes that are legal but slow:
 ``--trunc`` above 512 and below the refusal limits (``verify --check bch
 --trunc 2049`` takes seconds), ``family poisson --lambda`` from 1e5 to the
-2**22-row limit (about 1M rows at 1e6) and ``family binomial --n`` from
+2**22-row limit (about 1M outcomes computed at 1e6) and ``family binomial --n`` from
 3000 to that limit.  ``infer binomial --n`` is drawn up to its 2**15 limit:
 its rules sit on the count's window, so no size is slow.  ``infer poisson
 --observed`` is drawn up to 10**13, the counts its grid, centred on the
