@@ -9,8 +9,9 @@ next to the analytic Gamma/Beta density, and ``verify`` runs the named
 residual checks of ``_CHECKS``.  Output is a JSON document (schema_version,
 command, config, rows, footer) or a CSV table with ``# key=value`` footer
 lines.  Each command builds ``rows`` as columns, a dict from row key to an
-equal-length list; the JSON document is exactly ``json.dumps(..., indent=2)``
-of the payload with ``rows`` in record form, one object per row.
+equal-length list or float64 or int64 array; the JSON document is exactly
+``json.dumps(..., indent=2)`` of the payload with ``rows`` in record form, one
+object per row, an array read through ``tolist()``.
 Config values of the wrong type, out of range or not finite are a
 configuration error naming the key; ``infer`` reads no ``--trunc``.
 A size past one of the limits of ``_LIMITS`` (table rows, binomial trials,
@@ -65,7 +66,10 @@ _LIMITS = {
              "(`lambda_points`, `p_points`). A `family` table computes every outcome, about 120 bytes each, and "
              "writes only those that carry mass: in a fresh process with one BLAS thread, `family poisson --lambda 1 "
              "--trunc 4194304` peaks at 519 MB in 5.6 s, and `--lambda 1e6` computes 1,012,001 outcomes and writes "
-             "14,069 rows in 155 MB and 1.2 s. An `infer` row costs about 780 bytes, so that limit is 3.3 GB."},
+             "14,069 rows in 155 MB and 1.2 s. An `infer` row costs about 400-500 bytes, most of them its text, held "
+             "twice while the document is joined and written: `infer poisson --observed 500` peaks at 441 MB in 3.5 s "
+             "with 2**20 `lambda_points` and at 850-980 MB (as the allocator reuses freed blocks) in 5.5-6.7 s with "
+             "2**21, so about 2 GB at the limit."},
     "trials": {"value": 2**15, "bounds": "trials for binomial inference", "basis": "`infer binomial --n`. Central "
                "k overflow sqrt C(n, k) from about n = 2050, k = 0 and k = n underflow from n = 16446, k = n // 100 "
                "flips between exit 0 and 1 from n = 17847 (its mass off by 1.1e-10) and exits 1 from 17852, and "
@@ -199,7 +203,7 @@ def _refuse_past(limit: str, size: int, refusal: str) -> None:
         raise UsageError(f"{refusal} past the limit of {value} {bounds}")
 
 
-def _payload(command: str, config: RunConfig, rows: dict[str, list], footer: dict) -> dict:
+def _payload(command: str, config: RunConfig, rows: dict, footer: dict) -> dict:
     return {
         "schema_version": SCHEMA_VERSION,
         "command": command,
@@ -212,7 +216,7 @@ def _payload(command: str, config: RunConfig, rows: dict[str, list], footer: dic
 # ---------------------------------------------------------------------------
 # family
 
-def _family_rows(probabilities: np.ndarray, pmf: np.ndarray) -> tuple[dict[str, list], dict]:
+def _family_rows(probabilities: np.ndarray, pmf: np.ndarray) -> tuple[dict, dict]:
     """The rows of a family table that carry mass (the rule at ``_ROW_CUMULATIVE_STOP``), outcome k's row
     holding ``probabilities[k]`` and ``pmf[k]``, and the footer keys they set."""
     cumulative = np.cumsum(pmf)  # nondecreasing, so searchsorted finds the first outcome to reach a level
@@ -220,7 +224,7 @@ def _family_rows(probabilities: np.ndarray, pmf: np.ndarray) -> tuple[dict[str, 
     # a truncation that holds less than _ROW_CUMULATIVE_STOP of the mass (a tail_tol near 1) keeps its last outcome
     start = min(int(np.searchsorted(cumulative, _ROW_CUMULATIVE_STOP)), stop - 1)
     probabilities, pmf = probabilities[start:stop], pmf[start:stop]
-    rows = {"outcome": list(range(start, stop)), "probability": probabilities.tolist(), "pmf": pmf.tolist()}
+    rows = {"outcome": np.arange(start, stop, dtype=np.int64), "probability": probabilities, "pmf": pmf}
     footer = {
         "max_abs_diff": float(np.abs(probabilities - pmf).max()),
         "lower_mass": float(cumulative[start - 1]) if start else 0.0,
@@ -275,10 +279,10 @@ def _infer(config: RunConfig, family, observed: int, points_key: str, analytic) 
     reference = analytic(grid)
     absdiff = np.abs(pov.density - reference.density)
     rows = {
-        "parameter": pov.grid.tolist(),
-        "density_pov": pov.density.tolist(),
-        "density_analytic": reference.density.tolist(),
-        "absdiff": absdiff.tolist(),
+        "parameter": pov.grid,
+        "density_pov": pov.density,
+        "density_analytic": reference.density,
+        "absdiff": absdiff,
     }
     intervals = [(level, *inference.credible_interval(pov, level)) for level in config.mass_levels]
     footer = {
@@ -500,10 +504,18 @@ def _fmt_cell(value) -> str:
     return str(value)
 
 
+_ARRAY_DTYPES = (np.dtype(np.float64), np.dtype(np.int64))  # the column arrays the package writes
+
+
+def _cells(values):
+    """A column's cells as Python scalars: a float64 or int64 array through ``tolist()``, any other as it is."""
+    return values.tolist() if isinstance(values, np.ndarray) and values.dtype in _ARRAY_DTYPES else values
+
+
 def _render_csv(payload: dict) -> str:
     columns = payload["rows"]
     lines = [",".join(columns)]
-    lines.extend(",".join(map(_fmt_cell, row)) for row in zip(*columns.values(), strict=True))
+    lines.extend(",".join(map(_fmt_cell, row)) for row in zip(*map(_cells, columns.values()), strict=True))
     for key, value in payload["footer"].items():
         if key == "credible_intervals":
             for record in value:
@@ -540,15 +552,231 @@ def _encode_column(values: list) -> list[str]:
     raise ValueError(f"table cells must be numbers, bools, None or strings, got {kinds}")
 
 
-def _render_rows(columns: dict[str, list]) -> str:
+# Shortest round-trip decimals of a whole float64 array, the digits Python's repr (and so json.dumps)
+# writes: Giulietti's Schubfach, as in JDK 19's Double.toString, on uint64 with 64 x 64-bit products
+# from 32-bit limbs.  Python keeps one digit where the JDK keeps two (5e-324, not 4.9E-324), so the
+# one-digit-shorter candidate is tried from s >= 10, and a tiny subnormal (c < 3, scaled by 10) keeps
+# its exponent k + dk on that path too.  Every integer scalar has a dtype, so that uint64 arithmetic
+# does not depend on numpy's promotion rules.
+_U64 = np.uint64
+_LOW32, _LOW63 = _U64(2**32 - 1), _U64(2**63 - 1)
+_POW10 = 10 ** np.arange(20, dtype=np.uint64)
+_G_FIRST = -324  # g(k) is tabulated for k in [-324, 292]
+
+
+@functools.cache
+def _schubfach_table() -> tuple[np.ndarray, np.ndarray]:
+    """g(k) = floor(10**-k 2**-r) + 1, r = floor(log2(10**-k)) - 125, as its high and low 63 bits."""
+    g1, g0 = [], []
+    for k in range(_G_FIRST, 293):
+        r = ((-k * 913124641741) >> 38) - 125  # floor(-k log2(10)) in fixed point, exact over this range
+        g = (1 << -r) // 10**k if k > 0 else 10**-k << -r if r < 0 else 10**-k >> r
+        g1.append((g + 1) >> 63)
+        g0.append((g + 1) & (2**63 - 1))
+    return np.array(g1, np.uint64), np.array(g0, np.uint64)
+
+
+def _mul_high(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The high 64 bits of each 128-bit product a * b."""
+    a0, a1, b0, b1 = a & _LOW32, a >> _U64(32), b & _LOW32, b >> _U64(32)
+    cross, low = a1 * b0, a0 * b1
+    carry = (a0 * b0 >> _U64(32)) + (cross & _LOW32) + (low & _LOW32)
+    return a1 * b1 + (cross >> _U64(32)) + (low >> _U64(32)) + (carry >> _U64(32))
+
+
+def _round_odd(g1: np.ndarray, g0: np.ndarray, cp: np.ndarray) -> np.ndarray:
+    """floor(g cp / 2**127), its last bit set when the dropped bits are not all 0 (the JDK's ``rop``)."""
+    z = (g1 * cp >> _U64(1)) + _mul_high(g0, cp)
+    return (_mul_high(g1, cp) + (z >> _U64(63))) | ((z & _LOW63) + _LOW63 >> _U64(63))
+
+
+def _shortest_decimals(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(d, e) with d 10**e the decimal ``repr`` writes for abs(x): shortest, then nearest, ties to even d."""
+    bits = x.view(np.uint64)
+    biased = (bits >> _U64(52) & _U64(0x7FF)).astype(np.int64)
+    t = bits & _U64(2**52 - 1)
+    normal = biased != 0
+    tiny = ~normal & (t < _U64(3))
+    c = np.where(normal, t | _U64(2**52), np.where(tiny, t * _U64(10), t))
+    q = np.maximum(biased, np.int64(1)) - np.int64(1075)
+    regular = (c != _U64(2**52)) | (q == np.int64(-1074))  # a power of two has a closer neighbour below
+    # k = floor(log10(2**q)), or floor(log10(3/4 2**q)) below a power of two, and h = q + floor(log2(10**-k)) + 2
+    # in 1..4, each by the JDK's fixed-point products
+    k = q * np.int64(661971961083) - np.where(regular, np.int64(0), np.int64(274743187321)) >> np.int64(41)
+    h = (q + (-k * np.int64(913124641741) >> np.int64(38)) + np.int64(2)).astype(np.uint64)
+    g1, g0 = (np.take(half, k - _G_FIRST) for half in _schubfach_table())
+    cb = c << _U64(2)
+    vb = _round_odd(g1, g0, cb << h)
+    vbl = _round_odd(g1, g0, cb - np.where(regular, _U64(2), _U64(1)) << h)
+    vbr = _round_odd(g1, g0, cb + _U64(2) << h)
+    s, out = vb >> _U64(2), c & _U64(1)  # an even c keeps the ends of its rounding interval
+    sp10 = s // _U64(10) * _U64(10)
+    upin = vbl + out <= sp10 << _U64(2)
+    wpin = (sp10 + _U64(10) << _U64(2)) + out <= vbr
+    shorter = (s >= _U64(10)) & (upin != wpin)
+    t1 = s + _U64(1)
+    uin = vbl + out <= s << _U64(2)
+    win = (t1 << _U64(2)) + out <= vbr
+    middle = s + t1 << _U64(1)
+    take_s = np.where(uin != win, uin, (vb < middle) | (vb == middle) & (s & _U64(1) == _U64(0)))
+    d = np.where(shorter, np.where(upin, sp10, sp10 + _U64(10)), np.where(take_s, s, t1))
+    zero = ~normal & (t == _U64(0))
+    return np.where(zero, _U64(0), d), np.where(zero, np.int64(0), k - tiny)
+
+
+@functools.cache
+def _digit_table() -> tuple[np.ndarray, np.ndarray]:
+    """The ASCII digits of 0..9999 as 4 zero-padded bytes each, and the trailing zeros of each."""
+    text = [f"{i:04d}" for i in range(10000)]
+    quads = np.frombuffer("".join(text).encode(), np.uint8).reshape(10000, 4)
+    return quads, np.array([4 - len(digits.rstrip("0")) for digits in text], np.int64)
+
+
+# A cell is gathered from a source row of 28 bytes: 19 digits left-aligned, then "-.0e", the exponent's
+# sign and 3 exponent digits, then NUL.  Its layout is keyed by (sign, significant digits, form), the
+# form one of Python's: "0.000ddd", "ddd.ddd" and "ddd00.0" for decimal points at -3..16 (forms 0-19),
+# d.ddde+XX with 2 or 3 exponent digits (20, 21), and an integer's digits (22).
+_CELL_WIDTH, _FORMS = 24, 23
+
+
+@functools.cache
+def _cell_layouts() -> tuple[np.ndarray, np.ndarray]:
+    """Each key's source columns, NUL-padded to ``_CELL_WIDTH``, and its cell length."""
+    layouts, lengths = [], []
+    for sign in ([], [19]):
+        for size in range(1, 20):
+            digits = list(range(size))
+            for form in range(_FORMS):
+                point = form - 3
+                if form == 22:
+                    body = digits
+                elif size > 17:  # no float has more than 17 significant digits
+                    body = []
+                elif form >= 20:
+                    body = digits[:1] + ([20] + digits[1:] if size > 1 else []) + [22, 23] + list(range(45 - form, 27))
+                elif point <= 0:
+                    body = [21, 20] + [21] * -point + digits
+                elif point < size:
+                    body = digits[:point] + [20] + digits[point:]
+                else:
+                    body = digits + [21] * (point - size) + [20, 21]
+                cell = sign + body if body else []
+                lengths.append(len(cell))
+                layouts.append(cell + [27] * (_CELL_WIDTH - len(cell)))
+    return np.array(layouts, np.int32), np.array(lengths, np.int64)
+
+
+def _number_cells(values: np.ndarray) -> np.ndarray:
+    """One NUL-padded ``uint8`` row per value of a finite float64 or an int64 array, that reads as
+    ``json.dumps(value)`` once its NULs are dropped."""
+    floating = values.dtype == np.float64
+    if floating:
+        d, e = _shortest_decimals(values)
+        negative = (values.view(np.uint64) >> _U64(63)).astype(np.int64)
+    else:
+        d, e = np.abs(values).view(np.uint64), np.int64(0)  # abs(-2**63) reads 2**63 as uint64
+        negative = (values < 0).astype(np.int64)
+    places = np.searchsorted(_POW10[1:], d, side="right")  # digits - 1
+    left = d * np.take(_POW10, 18 - places)  # 19 digits, left-aligned
+    top = left // _U64(10**16)
+    rest = left - top * _U64(10**16)
+    high = rest // _U64(10**8)
+    low = rest - high * _U64(10**8)
+    groups = (high // _U64(10**4), high % _U64(10**4), low // _U64(10**4), low % _U64(10**4))
+    quads, trailing = _digit_table()
+    source = np.empty((values.size, 28), np.uint8)
+    source[:, :3] = np.take(quads, top, axis=0)[:, 1:]
+    for i, group in enumerate(groups):
+        source[:, 3 + 4 * i:7 + 4 * i] = np.take(quads, group, axis=0)
+    source[:, 19:23] = np.frombuffer(b"-.0e", np.uint8)
+    source[:, 27] = 0
+    if floating:
+        size = np.maximum(3 - np.take(trailing, top), 1)
+        for end, group in zip((7, 11, 15, 19), groups):
+            size = np.where(group != _U64(0), end - np.take(trailing, group), size)
+        point = places + 1 + e
+        exponent = np.abs(point - 1)
+        source[:, 23] = np.where(point < 1, 45, 43)
+        source[:, 24:27] = np.take(quads, exponent, axis=0)[:, 1:]
+        form = np.where((point >= -3) & (point <= 16), point + 3, np.where(exponent < 100, 20, 21))
+    else:
+        size, form = places + 1, 22
+    layouts, lengths = _cell_layouts()
+    key = (negative * 19 + size - 1) * _FORMS + form
+    width = int(np.take(lengths, key).max())
+    index = np.take(layouts[:, :width], key, axis=0)
+    index += np.arange(0, 28 * values.size, 28, dtype=np.int32)[:, None]
+    return np.take(source.reshape(-1), index)
+
+
+# A table of at least this many numeric cells, all its columns float64 or int64 arrays and every float
+# finite, is written by `_render_block`; a smaller one by the per-row template.  On a 2-core Xeon with one
+# BLAS thread the block costs about 0.4 ms whatever the size (some 150 numpy calls) plus 0.27 us a cell,
+# the template 0.7-0.85 us a cell: they break even near 550 cells for `infer`'s four float columns and
+# near 800 for `family`'s outcome and two float columns, and at 1200 cells the block is 20-40 % faster.
+_VECTOR_MIN_CELLS = 1024
+# The block is built this many rows at a time, so that its temporaries, about 1.5 KB a row, do not grow
+# with the table.  `infer poisson --observed 500` with 2**19 `lambda_points` (one BLAS thread) peaks at
+# 1028 MB in 3.1-3.5 s as one block; in blocks of 2048, 4096, 8192, 16384 and 65536 rows at 236, 240, 248,
+# 263 and 318 MB, in 1.5, 1.35-1.4, 1.55, 1.6 and 2.3 s.  4096 is the fastest, and a 2001-row posterior
+# is one block.
+_VECTOR_CHUNK_ROWS = 4096
+
+
+def _vector_table(columns: dict) -> bool:
+    """Whether ``_render_rows`` writes ``columns`` through ``_render_block``."""
+    values = list(columns.values())
+    if not values or not all(isinstance(v, np.ndarray) and v.ndim == 1 and v.dtype in _ARRAY_DTYPES for v in values):
+        return False
+    rows = values[0].size
+    if not rows or any(v.size != rows for v in values) or rows * len(values) < _VECTOR_MIN_CELLS:
+        return False  # the template writes an empty table and refuses unequal columns
+    return all(np.isfinite(v).all() for v in values if v.dtype == np.float64)
+
+
+def _render_block(columns: dict) -> str:
+    """The records of ``_render_rows`` as one ``uint8`` block per ``_VECTOR_CHUNK_ROWS`` rows: each row the
+    constant key segments and its cells, NUL-padded, the NULs dropped and the block decoded once."""
+    heads = [f"      {_json_key(key)}: ".encode() for key in columns]
+    heads[0] = b"    {\n" + heads[0]
+    heads = [np.frombuffer(head, np.uint8) for head in heads]
+    separator, tail = np.frombuffer(b",\n", np.uint8), np.frombuffer(b"\n    },\n", np.uint8)
+    values = list(columns.values())
+    pieces = []
+    for start in range(0, values[0].size, _VECTOR_CHUNK_ROWS):
+        chunk = [v[start:start + _VECTOR_CHUNK_ROWS] for v in values]
+        rows, cells = chunk[0].size, [None] * len(chunk)
+        for dtype in _ARRAY_DTYPES:
+            which = [i for i, v in enumerate(chunk) if v.dtype == dtype]
+            if which:
+                matrix = _number_cells(np.concatenate([chunk[i] for i in which]))
+                for n, i in enumerate(which):
+                    cells[i] = matrix[n * rows:(n + 1) * rows]
+        parts = [part for head, cell in zip(heads, cells) for part in (separator, head, cell)][1:] + [tail]
+        block = np.empty((rows, sum(part.shape[-1] for part in parts)), np.uint8)
+        at = 0
+        for part in parts:
+            block[:, at:at + part.shape[-1]] = part
+            at += part.shape[-1]
+        block = block.reshape(-1)
+        pieces.append(block[block != 0].tobytes().decode("ascii"))
+    pieces[-1] = pieces[-1][:-2]  # the last row takes no comma
+    return "".join(["[\n", *pieces, "\n  ]"])
+
+
+def _render_rows(columns: dict) -> str:
     """``json.dumps`` of the table's records with ``indent=2``, one level deep.
 
-    The records are ``[dict(zip(columns, row)) for row in zip(*columns.values())]``;
-    columns of unequal length raise ValueError.
+    The records are ``[dict(zip(columns, row)) for row in zip(*columns.values())]``,
+    a float64 or int64 array column read through ``tolist()``; columns of
+    unequal length raise ValueError.  A table that ``_vector_table`` admits is
+    written by ``_render_block``, any other row by row through a ``%`` template.
     """
+    if _vector_table(columns):
+        return _render_block(columns)
     fields = [f"      {_json_key(key).replace('%', '%%')}: %s" for key in columns]
     template = "    {\n" + ",\n".join(fields) + "\n    }"
-    rows = zip(*map(_encode_column, columns.values()), strict=True)
+    rows = zip(*(_encode_column(_cells(values)) for values in columns.values()), strict=True)
     body = ",\n".join(map(template.__mod__, rows))
     return "[\n" + body + "\n  ]" if body else "[]"
 
@@ -559,14 +787,14 @@ def _render_json(payload: dict) -> str:
     ``rows`` is written column by column by ``_render_rows``; every other
     top-level value goes through ``json.dumps(value, indent=2)`` with each
     newline re-indented one level; JSON escapes newlines inside strings, so
-    only structural newlines move.
+    only structural newlines move.  The document is joined once, so a large
+    table's text is copied once.
     """
-    items = [
-        f"  {_json_key(key)}: "
-        + (_render_rows(value) if key == "rows" else json.dumps(value, indent=2).replace("\n", "\n  "))
-        for key, value in payload.items()
-    ]
-    return "{\n" + ",\n".join(items) + "\n}" if items else "{}"
+    parts = []
+    for key, value in payload.items():
+        text = _render_rows(value) if key == "rows" else json.dumps(value, indent=2).replace("\n", "\n  ")
+        parts += [",\n  " if parts else "{\n  ", _json_key(key), ": ", text]
+    return "".join([*parts, "\n}"]) if parts else "{}"
 
 
 def _emit(payload: dict, config: RunConfig) -> None:

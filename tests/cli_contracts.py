@@ -1,7 +1,9 @@
-"""Every pinned `cohstat` contract: exit code, stderr line and byte-identical repeated runs.
+"""Every pinned `cohstat` contract: exit code, stderr line, canonical JSON and byte-identical repeated runs.
 
 ``check`` makes every assertion of one ``CONTRACTS`` row through a ``run(argv)
--> (code, stdout, stderr)`` callable.  A row with a stderr line and no ``--out``
+-> (code, stdout, stderr)`` callable.  Every JSON stdout of an exit-0 run must be
+``json.dumps(json.loads(stdout), indent=2)`` plus a newline, so that the bytes of
+each float are Python's ``repr``.  A row with a stderr line and no ``--out``
 of its own runs once more with ``--out`` in a temporary directory: it must
 exit and report as before and leave no file there.  ``tests/test_cli_contracts.py`` runs the
 rows in process through ``cohstat.cli.main``; ``python tests/cli_contracts.py``
@@ -12,6 +14,7 @@ its reason, 2 when that script is missing.  Only the standard library is importe
 
 from __future__ import annotations
 
+import json
 import re
 import subprocess
 import sys
@@ -68,6 +71,8 @@ CONTRACTS = (
     Contract("infer binomial --n 1000 --k 300", 0, None, "repeated JSON runs are byte-identical", repeat=True),
     Contract("infer binomial --n 2000 --k 1000", 0, None, "the Beta rules sit on the polar window of the count: "
              "2000 trials resolve, byte-identically across runs", repeat=True),
+    Contract("infer binomial --n 200 --k 50", 0, None, "a table of 4004 float cells, past the size gate, is written "
+             "by the vectorised shortest-float kernel: canonical JSON, byte-identical across runs", repeat=True),
     Contract("infer binomial --n 4 --k 2 --seed 3", 0, None,
              "small JSON runs are byte-identical, with a --seed that infer does not read", repeat=True),
     Contract("infer binomial --n 3000 --k 700", 1, "numerical failure: non-finite quadrature mass",
@@ -122,6 +127,8 @@ CONTRACTS = (
              "past the limit of 4194304 rows", "an infer grid past the 2**22-row table limit is a configuration "
              "error, refused before it is built", config='{"lambda_points": 1000000000000}'),
     Contract("family poisson --lambda 10000", 0, None, "a rate-10**4 family is tabulated on its default truncation"),
+    Contract("family poisson --lambda 5000", 0, None, "995 rows of int64 outcomes and float cells, past the size "
+             "gate, are written by the vectorised kernel: canonical JSON, byte-identical across runs", repeat=True),
     Contract("family poisson --lambda 100 --trunc 80", 1, "numerical failure: ...truncation 80",
              "a Fock truncation too small for the displacement is a numerical failure"),
     Contract("family binomial --n 10000000 --p 0.5", 2, "error: ...past the limit of 4194304 rows",
@@ -171,6 +178,13 @@ def check(row: Contract, run: Callable[[list[str]], tuple[int, str, str]]) -> No
             faults.append(f"stderr {stderr!r}, expected one line starting {row.stderr!r}")
         if stdout:
             faults.append(f"{len(stdout)} characters on stdout, expected none")
+    if code == 0 and stdout and "--format csv" not in row.argv:
+        try:
+            canonical = json.dumps(json.loads(stdout), indent=2) + "\n"
+        except ValueError:
+            canonical = None
+        if canonical != stdout:
+            faults.append("stdout is not json.dumps(json.loads(stdout), indent=2)")
     if again != stdout:
         faults.append("a second run wrote different stdout")
     if faults:

@@ -31,9 +31,17 @@ def run_json(tmp_path, args, name="out.json"):
 INFER_3 = ["infer", "poisson", "--observed", "3"]
 
 
+def stdout_at_blas_threads(argv, threads):
+    """The stdout of ``python -m cohstat *argv`` in a fresh process whose BLAS runs ``threads`` threads."""
+    env = dict(os.environ, PYTHONPATH=str(Path(cohstat.__file__).parent.parent))
+    env.update(dict.fromkeys(("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"), threads))
+    return subprocess.run([sys.executable, "-m", "cohstat", *argv], env=env, capture_output=True, check=True).stdout
+
+
 def as_records(payload):
-    """The payload as written: its ``rows`` columns turned into one dict per row."""
-    columns = payload["rows"]
+    """The payload as written: its ``rows`` columns turned into one dict per row, a float64 or int64 array
+    column read through ``tolist()``."""
+    columns = {key: getattr(column, "tolist", lambda: column)() for key, column in payload["rows"].items()}
     return dict(payload, rows=[dict(zip(columns, row)) for row in zip(*columns.values())])
 
 
@@ -251,7 +259,8 @@ class TestFamilyCommand:
     def _assert_rows_carry_the_mass(payload, probabilities, pmf):
         """The rows are the contiguous slice of the full table from the first outcome whose cumulative
         pmf reaches 1e-12 to the first whose cumulative pmf reaches 1 - 1e-12, one row at least."""
-        rows, lower_mass = payload["rows"], payload["footer"]["lower_mass"]
+        rows = {key: column.tolist() for key, column in payload["rows"].items()}  # the columns are arrays
+        lower_mass = payload["footer"]["lower_mass"]
         first, size = rows["outcome"][0], len(rows["outcome"])
         assert size >= 1
         assert rows["outcome"] == list(range(first, first + size))
@@ -289,18 +298,7 @@ class TestFamilyCommand:
     # np.linalg.norm, and so every probability, differed in the last place between one and two threads
     @pytest.mark.parametrize("lam", ["2e4", "1e5"])
     def test_poisson_bytes_do_not_depend_on_blas_threads(self, lam):
-        outputs = set()
-        for threads in ("1", "2"):
-            env = dict(
-                os.environ,
-                PYTHONPATH=str(Path(cohstat.__file__).parent.parent),
-                OPENBLAS_NUM_THREADS=threads,
-                OMP_NUM_THREADS=threads,
-                MKL_NUM_THREADS=threads,
-            )
-            argv = [sys.executable, "-m", "cohstat", "family", "poisson", "--lambda", lam]
-            outputs.add(subprocess.run(argv, env=env, capture_output=True, check=True).stdout)
-        assert len(outputs) == 1
+        assert len({stdout_at_blas_threads(["family", "poisson", "--lambda", lam], n) for n in "12"}) == 1
 
 
 class TestInferCommand:
@@ -328,6 +326,28 @@ class TestInferCommand:
         assert code == 0
         densities = {row["density_pov"] for row in payload["rows"]}
         assert all(abs(d - 1.0) < 1e-12 for d in densities)
+
+    def test_half_million_point_posterior_peak_memory(self, tmp_path):
+        # 2**19 grid points written in blocks of cli._VECTOR_CHUNK_ROWS rows: 240 MB and 1.5 s in a fresh
+        # process (one BLAS thread), where the per-row template peaked at 438 MB in 3.7 s; ru_maxrss is in kilobytes
+        config = tmp_path / "config.json"
+        config.write_text('{"lambda_points": 524288}')
+        code = (
+            "import os, resource, sys\n"
+            "from cohstat.cli import main\n"
+            "argv = ['infer', 'poisson', '--observed', '500', '--config', sys.argv[1], '--out', os.devnull]\n"
+            "assert main(argv) == 0\n"
+            "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(cohstat.__file__).parent.parent))
+        argv = [sys.executable, "-c", code, str(config)]
+        result = subprocess.run(argv, env=env, capture_output=True, text=True, check=True)
+        assert int(result.stdout) < 400 * 1024
+
+    # every output reduction of infer is numpy's own (sums, maxima), none a threaded BLAS product
+    @pytest.mark.parametrize("argv", ["poisson --observed 500", "binomial --n 2000 --k 892"])
+    def test_bytes_do_not_depend_on_blas_threads(self, argv):
+        assert len({stdout_at_blas_threads(["infer", *argv.split()], n) for n in "12"}) == 1
 
     def test_invalid_observed_exit_2(self, capsys):
         assert main(["infer", "poisson", "--observed", "-1"]) == 2

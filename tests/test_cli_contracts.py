@@ -38,8 +38,10 @@ def test_every_limit_has_a_past_limit_row(name):
         (Contract("family binomial --n 3000 --p 0.5", 1, "numerical failure: ", "a failed run that writes --out"),
          [(1, "", "numerical failure: overflow\n"), (1, "{}\n", "numerical failure: overflow\n")],
          "a run with --out wrote the file"),
+        (Contract("infer poisson --observed 3", 0, None, "json that is not canonical"), [(0, '{"a": 1.0}\n', "")],
+         "stdout is not json.dumps"),
     ],
-    ids=["exit-code", "repeat", "two-line-stderr", "writes-out"],
+    ids=["exit-code", "repeat", "two-line-stderr", "writes-out", "non-canonical-json"],
 )
 def test_check_fails_a_broken_row_and_names_its_reason(row, runs, fault):
     results = iter(runs)
