@@ -3,8 +3,11 @@
 Subcommands: ``family`` tabulates a coherent-state probability family next
 to its closed-form pmf over the outcomes that carry mass (from the first
 whose cumulative pmf reaches 1e-12 to the first whose cumulative pmf reaches
-1 - 1e-12, one row at least), its footer's ``lower_mass`` the pmf mass below
-the first row, ``infer`` tabulates the POV-quadrature posterior
+1 - 1e-12, one row at least).  Its kernels run only on a window of outcomes
+outside which each side of the distribution holds at most 1e-40 of the mass
+(``_WINDOW_LOG_MASS``): the footer's ``lower_mass``, the pmf mass below the
+first row, leaves out at most 1e-40 below the window, and a Poisson state is
+renormalised on the window.  ``infer`` tabulates the POV-quadrature posterior
 next to the analytic Gamma/Beta density, and ``verify`` runs the named
 residual checks of ``_CHECKS``.  Output is a JSON document (schema_version,
 command, config, rows, footer) or a CSV table with ``# key=value`` footer
@@ -22,9 +25,12 @@ at or past its threshold is a fail row.  Exit codes: 0 success or all
 checks passing, 1 a fail row or a numerical failure (a quadrature rule, mass
 or parameter grid that does not resolve the distribution, a ``family
 poisson`` truncation too small for the displacement, a state, distribution
-or ``verify`` residual that overflowed to non-finite values), 2 usage or
+or ``verify`` residual that overflowed to non-finite values, a ``family
+binomial`` state whose magnitudes underflowed to 0), 2 usage or
 configuration error, an output that cannot be written and a size past a
-limit among them.  A run that fails writes no ``--out`` file.
+limit among them.  A run that fails writes no ``--out`` file, and ``--out``
+is replaced whole: the text goes to a new file in its directory, renamed over
+it, so a write that fails leaves the file as it was.
 """
 
 from __future__ import annotations
@@ -35,6 +41,7 @@ import dataclasses
 import functools
 import json
 import math
+import os
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -56,18 +63,30 @@ SCHEMA_VERSION = 1
 
 # A `family` table tabulates the outcomes that carry mass: from the first whose cumulative pmf reaches
 # _ROW_CUMULATIVE_STOP to the first whose cumulative pmf reaches 1 - _ROW_CUMULATIVE_STOP, one row at
-# least.  Its footer's `lower_mass` is the pmf mass below the first row, 0.0 when that row is outcome 0.
+# least.  The cumulative pmf is summed from the low end of the table's window (below), so its footer's
+# `lower_mass`, the pmf mass below the first row (0.0 when that row is the window's first outcome), leaves
+# out the at most 1e-40 below the window.
 _ROW_CUMULATIVE_STOP = 1e-12
+# The kernels of a `family` table run only on a window of outcomes [lo, hi) outside which each side of the
+# distribution holds at most e**-_WINDOW_LOG_MASS = 1e-40 of the mass, by the Chernoff bound of a Poisson
+# and the Bernstein bound of a binomial.  1e-40 is 28 orders below the 1e-12 of the row rule, so the rows, the
+# pmf column and `lower_mass` are those of the full table up to rounding, as long as the table holds 1e-12 of
+# the mass: a Poisson truncation that holds less is evaluated whole.
+_WINDOW_LOG_MASS = math.log(1e40)
 
 # Every size the CLI refuses before any work, by `_refuse_past`: its value, what it bounds (the
 # words after the value in the refusal) and the measured basis of the value.
 _LIMITS = {
     "rows": {"value": 2**22, "bounds": "rows", "basis": "`family` outcomes and `infer` grid points "
-             "(`lambda_points`, `p_points`). A `family` table computes every outcome, about 120 bytes each, and "
-             "writes only those that carry mass: in a fresh process with one BLAS thread, `family poisson --lambda 1 "
-             "--trunc 4194304` peaks at 519 MB in 5.6 s, and `--lambda 1e6` computes 1,012,001 outcomes and writes "
-             "14,069 rows in 155 MB and 1.2 s. An `infer` row costs about 400-500 bytes, most of them its text, held "
-             "twice while the document is joined and written: `infer poisson --observed 500` peaks at 441 MB in 3.5 s "
+             "(`lambda_points`, `p_points`). A `family` table runs its kernels only on its window of outcomes "
+             "(`_WINDOW_LOG_MASS`), at most about 27 sqrt(lambda) + 190 of them at about 120 bytes each, and writes "
+             "only those that carry mass: in a fresh process with one BLAS thread, `family poisson --lambda 1 --trunc "
+             "4194304` evaluates 187 outcomes in 30 MB and 0.08 s, and `--lambda 4e6` evaluates 51,146 and writes "
+             "28,141 rows in 43 MB and 0.16 s. Only a truncation that holds under 1e-12 of the mass (a `tail_tol` "
+             "near 1) evaluates every outcome: `--lambda 4.3e6 --trunc 4194304` with `tail_tol` 1 peaks at 486 MB in "
+             "4.2 s (and exits 2, every magnitude underflowing). An `infer` row costs about 400-500 bytes, most of "
+             "them its text, held twice while the document is joined and written: `infer poisson --observed 500` "
+             "peaks at 441 MB in 3.5 s "
              "with 2**20 `lambda_points` and at 850-980 MB (as the allocator reuses freed blocks) in 5.5-6.7 s with "
              "2**21, so about 2 GB at the limit."},
     "trials": {"value": 2**15, "bounds": "trials for binomial inference", "basis": "`infer binomial --n`. Central "
@@ -216,15 +235,41 @@ def _payload(command: str, config: RunConfig, rows: dict, footer: dict) -> dict:
 # ---------------------------------------------------------------------------
 # family
 
-def _family_rows(probabilities: np.ndarray, pmf: np.ndarray) -> tuple[dict, dict]:
-    """The rows of a family table that carry mass (the rule at ``_ROW_CUMULATIVE_STOP``), outcome k's row
-    holding ``probabilities[k]`` and ``pmf[k]``, and the footer keys they set."""
+def _poisson_window(rate: float, size: int) -> tuple[int, int]:
+    """The outcomes [lo, hi) of [0, size) outside which each side of Poisson(rate) holds at most e**-L.
+
+    Chernoff (1952): P(X <= k) <= e**-bd0(k, rate) below the rate and P(X >= k) <= e**-bd0(k, rate) above
+    it, with bd0(k, rate) = k log(k/rate) + rate - k >= (rate - k)**2 / (2 rate) below the rate and
+    >= (k - rate)**2 / (2k) above it.  Both bounds reach L at lo - 1 and at hi.
+    """
+    lo = rate - math.sqrt(2.0 * _WINDOW_LOG_MASS) * math.sqrt(rate)
+    if lo >= size:  # the window lies past the truncation (and the rate may be too large for the upper end)
+        return size, size
+    hi = math.ceil(rate + _WINDOW_LOG_MASS + math.sqrt(_WINDOW_LOG_MASS**2 + 2.0 * _WINDOW_LOG_MASS * rate))
+    return max(math.floor(lo), 0), min(hi, size)
+
+
+def _binomial_window(n: int, p: float) -> tuple[int, int]:
+    """The outcomes [lo, hi) of [0, n] outside which each side of binomial(n, p) holds at most e**-L.
+
+    Bernstein: P(X - np <= -t) and P(X - np >= t) are each at most e**(-t**2 / (2 (npq + t/3))), which is
+    e**-L at t = L/3 + sqrt(L**2/9 + 2 npq L).
+    """
+    mean = n * p
+    reach = _WINDOW_LOG_MASS / 3.0 + math.sqrt(_WINDOW_LOG_MASS**2 / 9.0 + 2.0 * mean * (1.0 - p) * _WINDOW_LOG_MASS)
+    return max(math.floor(mean - reach), 0), min(math.ceil(mean + reach), n + 1)
+
+
+def _family_rows(first: int, probabilities: np.ndarray, pmf: np.ndarray) -> tuple[dict, dict]:
+    """The rows of a family table that carry mass (the rule at ``_ROW_CUMULATIVE_STOP``), from the columns of
+    the outcomes ``first``, ``first + 1``, ...: outcome first + i's row holds ``probabilities[i]`` and
+    ``pmf[i]``.  Also the footer keys they set."""
     cumulative = np.cumsum(pmf)  # nondecreasing, so searchsorted finds the first outcome to reach a level
     stop = min(int(np.searchsorted(cumulative, 1.0 - _ROW_CUMULATIVE_STOP)) + 1, pmf.size)
     # a truncation that holds less than _ROW_CUMULATIVE_STOP of the mass (a tail_tol near 1) keeps its last outcome
     start = min(int(np.searchsorted(cumulative, _ROW_CUMULATIVE_STOP)), stop - 1)
     probabilities, pmf = probabilities[start:stop], pmf[start:stop]
-    rows = {"outcome": np.arange(start, stop, dtype=np.int64), "probability": probabilities, "pmf": pmf}
+    rows = {"outcome": np.arange(first + start, first + stop, dtype=np.int64), "probability": probabilities, "pmf": pmf}
     footer = {
         "max_abs_diff": float(np.abs(probabilities - pmf).max()),
         "lower_mass": float(cumulative[start - 1]) if start else 0.0,
@@ -244,11 +289,19 @@ def _family_poisson(config: RunConfig, lam: float) -> dict:
         trunc = config.trunc
         refusal = f"truncation {trunc} for lambda={lam!r} needs a table of {trunc} rows,"
     _refuse_past("rows", trunc, refusal)
-    state = fock.coherent_closed_form(alpha, fock.FockSpace(trunc), tail_tol=config.tail_tol)
-    # the rate is alpha**2, the one fock.poisson_pmf(alpha, n) sees, not lam itself
-    pmf = fock._poisson_weight(alpha**2, np.arange(trunc))
-    rows, footer = _family_rows(np.abs(state.vector.vector) ** 2, pmf)
-    footer.update(trunc=trunc, tail_mass=state.tail_mass)
+    tail = fock._checked_tail(alpha, trunc, config.tail_tol)
+    rate = alpha**2  # the rate fock.poisson_pmf(alpha, n) sees, not lam itself
+    outcomes = np.arange(*_poisson_window(rate, trunc))
+    pmf = fock._poisson_weight(rate, outcomes)
+    if pmf.sum() < _ROW_CUMULATIVE_STOP and outcomes.size < trunc:
+        # the window holds under 1e-12 of the mass (the truncation ends below or just past its low end, which
+        # only a tail_tol near 1 admits), so the at most 1e-40 below it is not negligible: every outcome
+        outcomes = np.arange(trunc)
+        pmf = fock._poisson_weight(rate, outcomes)
+    # the coherent state renormalised on the outcomes evaluated
+    state = VectorState.from_unnormalized(fock.coherent_magnitudes(alpha, outcomes))
+    rows, footer = _family_rows(int(outcomes[0]), np.abs(state.vector) ** 2, pmf)
+    footer.update(trunc=trunc, tail_mass=tail)
     return _payload("family", config, rows, footer)
 
 
@@ -261,10 +314,18 @@ def _family_binomial(config: RunConfig, n: int, p: float) -> dict:
         raise UsageError(f"p must lie in [0, 1), got {p!r}")
     _refuse_past("rows", n + 1, f"n={n!r} needs a table of {n + 1} rows,")
     point = spin.sphere_point_for_probability(p)
-    state = spin.spin_coherent_closed_form(spin.SpinRep(two_j=n), point)
-    # every outcome's spin.binomial_pmf(SpinRep(two_j=n), point, ell) at once, at the p it sees
-    pmf = spin._binomial_weight(n, np.arange(n + 1), math.sin(point.theta / 2.0) ** 2)
-    rows, footer = _family_rows(np.abs(state.vector) ** 2, pmf)
+    success = math.sin(point.theta / 2.0) ** 2  # the p spin.binomial_pmf(SpinRep(two_j=n), point, ell) sees
+    lo, hi = _binomial_window(n, success)
+    outcomes = np.arange(lo, hi)
+    magnitudes = spin.coherent_magnitudes(spin.SpinRep(two_j=n), point.theta, outcomes)
+    pmf = spin._binomial_weight(n, outcomes, success)
+    # past sqrt C(n, n/2) = 1.8e308 (near n = 2050) the closed form's factors leave the range of a double on
+    # some outcomes: one that overflows is a non-finite state, one that underflows a magnitude of 0 where the
+    # pmf is not, and both are numerical failures
+    if np.isfinite(magnitudes).all() and np.any((magnitudes == 0.0) & (pmf > 0.0)):
+        raise NonFiniteError("state magnitudes underflowed to 0 where the pmf is positive")
+    # validated (finite, unit norm) and not renormalised, as spin.spin_coherent_closed_form builds its state
+    rows, footer = _family_rows(lo, np.abs(VectorState(magnitudes).vector) ** 2, pmf)
     footer.update(theta=point.theta)
     return _payload("family", config, rows, footer)
 
@@ -805,7 +866,32 @@ def _emit(payload: dict, config: RunConfig) -> None:
     if config.out is None:
         sys.stdout.write(text)
     else:
-        Path(config.out).write_text(text)
+        _write_whole(config.out, text)
+
+
+def _write_whole(out: str, text: str) -> None:
+    """Write ``text`` to the file ``out`` names whole or not at all: to a new file in the same directory,
+    then renamed over it (through a symbolic link, over the file it points to).
+
+    A failed write removes that new file and leaves ``out`` as it was.  An ``out`` that exists and is not
+    a regular file (a device such as /dev/null, a pipe, a directory) is written in place.
+    """
+    path = Path(os.path.realpath(out))
+    if path.exists() and not path.is_file():
+        Path(out).write_text(text)
+        return
+    temporary = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        stream = open(temporary, "x")
+    except OSError as exc:  # the error names the output, not the file that would have been renamed over it
+        raise type(exc)(exc.errno, exc.strerror, out) from None
+    try:
+        with stream:
+            stream.write(text)
+        os.replace(temporary, path)
+    except BaseException:
+        temporary.unlink(missing_ok=True)
+        raise
 
 
 # ---------------------------------------------------------------------------

@@ -245,15 +245,21 @@ class CoherentStateWH:
     tail_mass: float
 
 
-def coherent_closed_form(alpha: complex, space: FockSpace, tail_tol: float = DEFAULT_TAIL_TOL) -> CoherentStateWH:
-    """Coherent state from the closed-form coefficient expansion."""
-    alpha = complex(alpha)
-    tail = poisson_tail(abs(alpha) ** 2, space.dim)
+def _checked_tail(alpha: complex, dim: int, tail_tol: float) -> float:
+    """The Poisson(|alpha|^2) mass at or beyond ``dim``; raises TruncationError when it is above ``tail_tol``."""
+    tail = poisson_tail(abs(alpha) ** 2, dim)
     if tail > tail_tol:
         raise TruncationError(
             f"tail mass {tail:.3e} above tolerance {tail_tol:.1e}; "
-            f"truncation {space.dim} is too small for |alpha|={abs(alpha):.3f}"
+            f"truncation {dim} is too small for |alpha|={abs(alpha):.3f}"
         )
+    return tail
+
+
+def coherent_closed_form(alpha: complex, space: FockSpace, tail_tol: float = DEFAULT_TAIL_TOL) -> CoherentStateWH:
+    """Coherent state from the closed-form coefficient expansion."""
+    alpha = complex(alpha)
+    tail = _checked_tail(alpha, space.dim, tail_tol)
     return CoherentStateWH(VectorState.from_unnormalized(coherent_amplitudes(alpha, space.dim)), tail)
 
 

@@ -35,7 +35,7 @@ _NEGATIVE_PROBABILITY_TOL = 1e-10
 
 
 class NonFiniteError(ValueError):
-    """A computed state or distribution holds NaN or infinite values."""
+    """A computed state or distribution holds NaN or infinite values, or magnitudes that underflowed to 0."""
 
 
 def _norm(vec: np.ndarray) -> float:

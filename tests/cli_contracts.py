@@ -147,7 +147,15 @@ CONTRACTS = (
              "the default truncation of about 1e308 levels is past the row limit; the refusal names the rate given, "
              "not the 309 digits of that truncation (usage error)"),
     Contract("family binomial --n 2100 --p 0.3", 1, "numerical failure: state has non-finite entries",
-             "sqrt C(2100, 1050) overflows a double, so the closed-form state is not finite"),
+             "sqrt C(2100, k) overflows a double from k = 868, inside the window [312, 948) of outcomes the "
+             "table evaluates, so the closed-form state is not finite there"),
+    Contract("family binomial --n 3000 --p 0.01", 0, None, "sqrt C(3000, k) overflows from k = 547, outside the "
+             "window [0, 141) of outcomes the table evaluates, so the table is finite"),
+    Contract("family binomial --n 20000 --p 0.01", 1, "numerical failure: state magnitudes underflowed to 0",
+             "sqrt C(20000, k) = sqrt(2**20000 b(k; 20000, 1/2)) underflows on the window around np = 200: "
+             "a numerical failure, as the overflow at the centre is"),
+    Contract("family poisson --lambda 1 --trunc 4194304", 0, None, "a truncation at the row limit: the kernels run "
+             "only on the 185 outcomes of the window, not on the 4194304 levels"),
 )
 
 

@@ -1,5 +1,6 @@
 import argparse
 import dataclasses
+import functools
 import json
 import math
 import os
@@ -14,7 +15,7 @@ import pytest
 import scipy.linalg
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from scipy.stats import beta, gamma
+from scipy.stats import beta, binom, gamma
 
 import cohstat
 from cohstat import cli, fock, inference, pv_measure, spin
@@ -36,6 +37,24 @@ def stdout_at_blas_threads(argv, threads):
     env = dict(os.environ, PYTHONPATH=str(Path(cohstat.__file__).parent.parent))
     env.update(dict.fromkeys(("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"), threads))
     return subprocess.run([sys.executable, "-m", "cohstat", *argv], env=env, capture_output=True, check=True).stdout
+
+
+def peak_rss_kb(argv):
+    """The peak RSS in kilobytes (Linux's ``ru_maxrss``) of ``main([*argv, "--out", os.devnull])``, which must exit
+    0, in a fresh process whose BLAS runs one thread.  Linux carries a process's peak RSS across exec, so a
+    process started from this one would count this one's resident size: a small Python process starts it and
+    reads its peak as that of its child."""
+    run = "import os, sys\nfrom cohstat.cli import main\nassert main([*sys.argv[1:], '--out', os.devnull]) == 0"
+    launch = (
+        "import resource, subprocess, sys\n"
+        "subprocess.run([sys.executable, '-c', *sys.argv[1:]], check=True)\n"
+        "print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(cohstat.__file__).parent.parent))
+    env.update(dict.fromkeys(("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"), "1"))
+    result = subprocess.run([sys.executable, "-c", launch, run, *argv], env=env, capture_output=True, text=True,
+                            check=True)
+    return int(result.stdout)
 
 
 def as_records(payload):
@@ -187,17 +206,16 @@ class TestFamilyCommand:
         assert "error" in capsys.readouterr().err
 
     def test_million_row_poisson_table_is_built(self):
-        # 1,012,001 outcomes of which 14,069 rows carry mass: 155 MB and 1.2 s in a fresh process (one
-        # BLAS thread), where writing every outcome took 505 MB; ru_maxrss is in kilobytes on Linux
-        code = (
-            "import os, resource\n"
-            "from cohstat.cli import main\n"
-            "assert main(['family', 'poisson', '--lambda', '1e6', '--out', os.devnull]) == 0\n"
-            "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)"
-        )
-        env = dict(os.environ, PYTHONPATH=str(Path(cohstat.__file__).parent.parent))
-        result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-        assert int(result.stdout) < 256 * 1024
+        # 14,069 rows carry mass: 38 MB and 0.19 s in a fresh process (one BLAS thread), where computing all
+        # 1,012,001 outcomes took 155 MB and writing them all 505 MB
+        assert peak_rss_kb(["family", "poisson", "--lambda", "1e6"]) < 256 * 1024
+
+    # the kernels run on the window, not the truncation: 30 and 41 MB, where computing every outcome took 518
+    # and 499 MB
+    @pytest.mark.parametrize("argv", [["--lambda", "1", "--trunc", "4194304"], ["--lambda", "4e6"]],
+                             ids=["trunc-4194304", "lambda-4e6"])
+    def test_poisson_window_bounds_peak_memory(self, argv):
+        assert peak_rss_kb(["family", "poisson", *argv]) < 128 * 1024
 
     # 2.0: sqrt(2)**2 != 2, so the rows must use the rate poisson_pmf sees, not lambda itself
     @pytest.mark.parametrize("lam", [0.0, 0.01, 1.0, 2.0, 1000.0, 10000.0])
@@ -255,10 +273,35 @@ class TestFamilyCommand:
         assert [row["outcome"] for row in payload["rows"]] == [4]
         assert 0.0 < payload["footer"]["lower_mass"] < 1e-38
 
+    def test_a_truncation_below_the_window_keeps_every_outcome(self, tmp_path):
+        # with tail_tol 1, 60 levels hold 6.6e-65 of the Poisson(300) mass, all below the window's low end
+        # (64): the table is that of the whole truncation, its one row and lower_mass as before the window
+        config = tmp_path / "config.json"
+        config.write_text('{"tail_tol": 1.0}')
+        argv = ["family", "poisson", "--lambda", "300", "--trunc", "60", "--config", str(config)]
+        code, payload = run_json(tmp_path, argv)
+        assert code == 0
+        alpha = math.sqrt(300.0)
+        state = fock.coherent_closed_form(alpha, fock.FockSpace(60), tail_tol=1.0).vector.vector
+        expected = {"outcome": 59, "probability": abs(state[59]) ** 2, "pmf": fock.poisson_pmf(alpha, 59)}
+        assert payload["rows"] == [expected]
+        assert payload["footer"]["lower_mass"] == 1.2776059704499218e-65
+
+    def test_binomial_past_the_overflow_matches_scipy(self, tmp_path):
+        # sqrt C(3000, k) overflows from k = 547, far outside the window [0, 141) around np = 30
+        code, payload = run_json(tmp_path, ["family", "binomial", "--n", "3000", "--p", "0.01"])
+        assert code == 0
+        rows = payload["rows"]
+        outcomes = np.array([row["outcome"] for row in rows])
+        reference = binom.pmf(outcomes, 3000, 0.01)
+        for column in ("probability", "pmf"):
+            assert np.abs(np.array([row[column] for row in rows]) - reference).max() <= 1e-12
+
     @staticmethod
     def _assert_rows_carry_the_mass(payload, probabilities, pmf):
         """The rows are the contiguous slice of the full table from the first outcome whose cumulative
-        pmf reaches 1e-12 to the first whose cumulative pmf reaches 1 - 1e-12, one row at least."""
+        pmf reaches 1e-12 to the first whose cumulative pmf reaches 1 - 1e-12, one row at least: the rows,
+        ``pmf`` and ``lower_mass`` equal the full table's, ``probability`` equals ``probabilities`` at the rows."""
         rows = {key: column.tolist() for key, column in payload["rows"].items()}  # the columns are arrays
         lower_mass = payload["footer"]["lower_mass"]
         first, size = rows["outcome"][0], len(rows["outcome"])
@@ -280,8 +323,16 @@ class TestFamilyCommand:
         payload = cli._family_poisson(RunConfig(), lam)
         alpha = math.sqrt(lam)
         trunc = fock.default_truncation(alpha)
-        probabilities = np.abs(fock.coherent_closed_form(alpha, fock.FockSpace(trunc)).vector.vector) ** 2
-        self._assert_rows_carry_the_mass(payload, probabilities, fock._poisson_weight(alpha**2, np.arange(trunc)))
+        # the probabilities are the closed-form amplitudes on the window, renormalised there
+        lo, hi = cli._poisson_window(alpha**2, trunc)
+        state = pv_measure.VectorState.from_unnormalized(fock.coherent_magnitudes(alpha, np.arange(lo, hi)))
+        window = np.zeros(trunc)
+        window[lo:hi] = np.abs(state.vector) ** 2
+        self._assert_rows_carry_the_mass(payload, window, fock._poisson_weight(alpha**2, np.arange(trunc)))
+        # renormalised on the whole truncation instead, they differ only by the rounding of the two norms
+        full = np.abs(fock.coherent_closed_form(alpha, fock.FockSpace(trunc)).vector.vector) ** 2
+        outcomes, probabilities = payload["rows"]["outcome"], payload["rows"]["probability"]
+        assert np.all(np.abs(probabilities - full[outcomes]) <= 16 * np.finfo(float).eps * full[outcomes])
 
     @settings(max_examples=50, deadline=None)
     @example(0, 0.3)
@@ -293,6 +344,42 @@ class TestFamilyCommand:
         probabilities = np.abs(spin.spin_coherent_closed_form(spin.SpinRep(two_j=n), point).vector) ** 2
         pmf = spin._binomial_weight(n, np.arange(n + 1), math.sin(point.theta / 2.0) ** 2)
         self._assert_rows_carry_the_mass(payload, probabilities, pmf)
+
+    # the full kernel outside the window, each side summed outward until a chunk of outcomes underflows to
+    # 0.0: the pmf falls away from its mode, so every outcome past that chunk is 0.0 too
+    @staticmethod
+    def _mass_outside(weight, lo, hi, chunk=2**16):
+        below, above = [], []
+        for start in range(lo, 0, -chunk):
+            below.append(math.fsum(weight(np.arange(max(start - chunk, 0), start)).tolist()))
+            if below[-1] == 0.0:
+                break
+        while True:
+            above.append(math.fsum(weight(np.arange(hi, hi + chunk)).tolist()))
+            hi += chunk
+            if above[-1] == 0.0:
+                return math.fsum(below), math.fsum(above)
+
+    # rates log-uniform over [1e-3, 4e6] and both ends of [0, 4e6]; the window is not clipped by a truncation
+    @settings(max_examples=30, deadline=None)
+    @example(0.0)
+    @example(4e6)
+    @given(st.floats(-3.0, math.log10(4e6)).map(lambda e: 10.0**e))
+    def test_poisson_window_leaves_out_at_most_1e_40_on_each_side(self, lam):
+        lo, hi = cli._poisson_window(lam, 2**62)
+        below, above = self._mass_outside(functools.partial(fock._poisson_weight, lam), lo, hi)
+        assert below <= 1e-40 and above <= 1e-40
+
+    @settings(max_examples=100, deadline=None)
+    @example(2000, 0.5)
+    @example(2000, 0.0)
+    @example(1, 0.9999999999999999)
+    @given(st.integers(0, 2000), st.floats(0.0, 1.0, exclude_max=True))
+    def test_binomial_window_leaves_out_at_most_1e_40_on_each_side(self, n, p):
+        lo, hi = cli._binomial_window(n, p)
+        pmf = spin._binomial_weight(n, np.arange(n + 1), p)
+        assert 0 <= lo < hi <= n + 1
+        assert math.fsum(pmf[:lo].tolist()) <= 1e-40 and math.fsum(pmf[hi:].tolist()) <= 1e-40
 
     # The state's norm is numpy's pairwise sum, not a threaded BLAS dot: at these rates the norm by
     # np.linalg.norm, and so every probability, differed in the last place between one and two threads
@@ -329,20 +416,10 @@ class TestInferCommand:
 
     def test_half_million_point_posterior_peak_memory(self, tmp_path):
         # 2**19 grid points written in blocks of cli._VECTOR_CHUNK_ROWS rows: 240 MB and 1.5 s in a fresh
-        # process (one BLAS thread), where the per-row template peaked at 438 MB in 3.7 s; ru_maxrss is in kilobytes
+        # process (one BLAS thread), where the per-row template peaked at 438 MB in 3.7 s
         config = tmp_path / "config.json"
         config.write_text('{"lambda_points": 524288}')
-        code = (
-            "import os, resource, sys\n"
-            "from cohstat.cli import main\n"
-            "argv = ['infer', 'poisson', '--observed', '500', '--config', sys.argv[1], '--out', os.devnull]\n"
-            "assert main(argv) == 0\n"
-            "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)"
-        )
-        env = dict(os.environ, PYTHONPATH=str(Path(cohstat.__file__).parent.parent))
-        argv = [sys.executable, "-c", code, str(config)]
-        result = subprocess.run(argv, env=env, capture_output=True, text=True, check=True)
-        assert int(result.stdout) < 400 * 1024
+        assert peak_rss_kb(["infer", "poisson", "--observed", "500", "--config", str(config)]) < 400 * 1024
 
     # every output reduction of infer is numpy's own (sums, maxima), none a threaded BLAS product
     @pytest.mark.parametrize("argv", ["poisson --observed 500", "binomial --n 2000 --k 892"])
@@ -783,8 +860,8 @@ LIMIT_RUNS = {
     "observed count": (3, [lambda size: ["infer", "poisson", "--observed", str(size)]]),
 }
 # the functions that do the work of those runs: a run past a limit reaches none of them
-WORK = [(fock, "coherent_closed_form"), (spin, "spin_coherent_closed_form"), (inference, "infer_via_pov"),
-        (fock, "build_ladder")]
+WORK = [(fock, "_checked_tail"), (fock, "_poisson_weight"), (fock, "coherent_magnitudes"),
+        (spin, "coherent_magnitudes"), (spin, "_binomial_weight"), (inference, "infer_via_pov"), (fock, "build_ladder")]
 
 
 class TestLimits:
@@ -891,6 +968,29 @@ class TestOutputFormats:
         assert captured.out == ""
         assert captured.err.startswith(f"error: cannot write output to {out}: ")
         assert captured.err.count("\n") == 1
+
+    def test_a_failed_write_leaves_the_file_as_it_was(self, tmp_path):
+        # a file-size limit of 4096 bytes fails the write of a 60 kB table partway through
+        out = tmp_path / "table.json"
+        out.write_text("before\n")
+        code = (
+            "import resource, signal, sys\n"
+            "from cohstat.cli import main\n"
+            "signal.signal(signal.SIGXFSZ, signal.SIG_IGN)\n"
+            "resource.setrlimit(resource.RLIMIT_FSIZE, (4096, 4096))\n"
+            "sys.exit(main(['family', 'poisson', '--lambda', '5000', '--out', sys.argv[1]]))"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(cohstat.__file__).parent.parent))
+        result = subprocess.run([sys.executable, "-c", code, str(out)], env=env, capture_output=True, text=True)
+        assert result.returncode == 2
+        assert result.stderr.startswith(f"error: cannot write output to {out}: [Errno 27] File too large")
+        assert result.stderr.count("\n") == 1
+        assert out.read_text() == "before\n"
+        assert list(tmp_path.iterdir()) == [out]
+        # without the limit the table replaces the file whole, and no other file is left
+        assert main(["family", "poisson", "--lambda", "5000", "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["command"] == "family"
+        assert list(tmp_path.iterdir()) == [out]
 
     @pytest.mark.parametrize(
         "argv",
